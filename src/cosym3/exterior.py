@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg
-from .poly import Poly, as_fraction, as_poly
+from .poly import Poly, as_fraction, as_poly, dot
 
 IndexTuple = tuple[int, ...]
 
@@ -338,18 +338,12 @@ class EndField:
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         m = self.m
-        return EndField(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(m)),
-                        Poly.zero(m),
-                    )
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
-        )
+        right = other.entries
+        result = []
+        for row in self.entries:
+            nonzero = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
+            result.append([dot(m, ((a, right[k][j]) for k, a in nonzero)) for j in range(m)])
+        return EndField(result)
 
     def __add__(self, other: "EndField") -> "EndField":
         return EndField(
@@ -374,15 +368,7 @@ class EndField:
     def apply(self, v: VectorField) -> VectorField:
         if self.m != v.m:
             raise ValueError("dimension mismatch")
-        return VectorField(
-            [
-                sum((row[j] * v.components[j] for j in range(self.m)), Poly.zero(self.m))
-                for row in self.entries
-            ]
-        )
-
-    def column(self, j: int) -> VectorField:
-        return VectorField([self.entries[i][j] for i in range(self.m)])
+        return VectorField([dot(self.m, zip(row, v.components)) for row in self.entries])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndField):

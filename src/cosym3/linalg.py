@@ -74,10 +74,6 @@ def mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

@@ -235,3 +235,17 @@ def as_poly(value, nvars: int) -> Poly:
             raise ValueError("polynomial over wrong variable count")
         return value
     return Poly.const(nvars, value)
+
+
+def dot(nvars: int, pairs) -> Poly:
+    """Sum of ``a * b`` over the ``(a, b)`` pairs, skipping every zero factor."""
+    acc: dict[Exponents, Fraction] = {}
+    for a, b in pairs:
+        if a.terms and b.terms:
+            for expo, c in (a * b).terms.items():
+                old = acc.get(expo)
+                acc[expo] = c if old is None else old + c
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out.terms = {expo: c for expo, c in acc.items() if c}
+    return out

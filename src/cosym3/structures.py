@@ -9,10 +9,11 @@ impossible inputs (wrong chart dimensions) raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
-from .exterior import EndField, KForm, Metric, VectorField, exterior_derivative, lie_bracket
-from .poly import Poly, as_fraction
+from .exterior import EndField, KForm, Metric, VectorField, exterior_derivative
+from .poly import Poly, as_fraction, dot
 
 EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -116,7 +117,7 @@ class ThreeStructure:
     :func:`check_three_cosymplectic`.
     """
 
-    __slots__ = ("m", "structures", "g", "sign_convention", "dimension_ok")
+    __slots__ = ("m", "structures", "g", "dimension_ok")
 
     def __init__(self, structures: Sequence[AlmostContactMetricStructure]):
         if len(structures) != 3:
@@ -131,17 +132,12 @@ class ThreeStructure:
         self.m = m
         self.structures = tuple(structures)
         self.g = g
-        self.sign_convention = dict(EPSILON)
         self.dimension_ok = m % 4 == 3
 
     def structure(self, alpha: int) -> AlmostContactMetricStructure:
         if alpha not in (1, 2, 3):
             raise ValueError("alpha must be 1, 2, or 3")
         return self.structures[alpha - 1]
-
-    @property
-    def fiber_n(self) -> int:
-        return (self.m - 3) // 4
 
 
 # -- tensor helpers ----------------------------------------------------------
@@ -151,26 +147,6 @@ def outer_xi_eta(xi: VectorField, eta_comps: Sequence[Poly]) -> EndField:
     """The endomorphism eta (x) xi: X -> eta(X) xi."""
     m = xi.m
     return EndField([[xi.components[i] * eta_comps[j] for j in range(m)] for i in range(m)])
-
-
-def eta_compose_phi(eta_comps: Sequence[Poly], phi: EndField) -> list[Poly]:
-    """Row vector eta . phi."""
-    m = phi.m
-    return [
-        sum((eta_comps[i] * phi.entries[i][j] for i in range(m)), Poly.zero(m))
-        for j in range(m)
-    ]
-
-
-def metric_times_phi(g: Metric, phi: EndField) -> list[list[Poly]]:
-    m = g.m
-    return [
-        [
-            sum((g.entries[i][k] * phi.entries[k][j] for k in range(m)), Poly.zero(m))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
 
 
 def _first_entry_witness(rows: Sequence[Sequence[Poly]], label: str) -> str | None:
@@ -209,7 +185,7 @@ def fundamental_form(s: AlmostContactMetricStructure) -> KForm:
     Antisymmetry of g.phi is a consequence of metric compatibility, so a
     failure means the input is not almost contact metric and raises.
     """
-    b = metric_times_phi(s.g, s.phi)
+    b = (EndField(s.g.entries) * s.phi).entries
     m = s.m
     for i in range(m):
         for j in range(i, m):
@@ -252,12 +228,10 @@ def check_almost_contact(s: AlmostContactMetricStructure, label: str = "") -> Ch
     phi_xi = s.phi.apply(s.xi)
     witness = _first_component_witness(phi_xi.components, "phi(xi)")
     items.append(CheckItem(f"{prefix}.phi_xi_zero", witness is None, witness))
-    eta_phi = eta_compose_phi(eta, s.phi)
+    eta_phi = s.phi.transpose().apply(VectorField(eta)).components
     witness = _first_component_witness(eta_phi, "eta.phi")
     items.append(CheckItem(f"{prefix}.eta_phi_zero", witness is None, witness))
-    pairing = sum(
-        (eta[i] * s.xi.components[i] for i in range(m)), Poly.zero(m)
-    ) - Poly.const(m, 1)
+    pairing = dot(m, zip(eta, s.xi.components)) - Poly.const(m, 1)
     items.append(
         CheckItem(
             f"{prefix}.eta_xi_one",
@@ -311,25 +285,49 @@ class NijenhuisResult:
         return f"pair (d_{i + 1}, d_{j + 1}): {data[(i, j)].render()}"
 
 
+def _gradient(p: Poly) -> dict[int, Poly]:
+    """The nonzero partial derivatives of ``p``, keyed by variable index."""
+    occurring = {l for expo in p.terms for l, e in enumerate(expo) if e}
+    return {l: p.diff(l) for l in occurring}
+
+
 def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisResult:
     """N_phi(X, Y) = phi^2 [X,Y] + [phi X, phi Y] - phi[phi X, Y] - phi[X, phi Y]
     on all coordinate-field pairs, plus the normality tensor
     N^(1) = N_phi + 2 d(eta) (x) xi.
+
+    On coordinate fields [d_i, d_j] = 0, so the phi^2 term drops and
+    N(d_i, d_j)^k = sum_l (phi^l_i d_l phi^k_j - phi^l_j d_l phi^k_i
+    - phi^k_l (d_i phi^l_j - d_j phi^l_i)), assembled from the derivatives
+    of the phi entries, each taken once; products with a zero factor are
+    skipped.
     """
     m = phi.m
     if eta.m != m or xi.m != m or eta.degree != 1:
         raise StructureError("tensor dimensions do not match")
     d_eta = exterior_derivative(eta)
-    columns = [phi.column(j) for j in range(m)]
-    basis = [VectorField.coordinate(m, i) for i in range(m)]
+    rows = phi.entries
+    grad = [[_gradient(p) for p in row] for row in rows]
+    neg = [[{l: -d for l, d in g.items()} for g in row] for row in grad]
     n_phi: dict[tuple[int, int], VectorField] = {}
     n_one: dict[tuple[int, int], VectorField] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            # [d_i, d_j] = 0, so the phi^2 term drops on coordinate pairs.
-            value = lie_bracket(columns[i], columns[j])
-            value = value - phi.apply(lie_bracket(columns[i], basis[j]))
-            value = value - phi.apply(lie_bracket(basis[i], columns[j]))
+            # -(d_i phi^l_j - d_j phi^l_i) as signed derivatives, by row l.
+            curl = [(l, neg[l][j][i]) for l in range(m) if i in grad[l][j]]
+            curl += [(l, grad[l][i][j]) for l in range(m) if j in grad[l][i]]
+            comps = [
+                dot(
+                    m,
+                    chain(
+                        ((rows[l][i], d) for l, d in grad[k][j].items()),
+                        ((rows[l][j], d) for l, d in neg[k][i].items()),
+                        ((rows[k][l], d) for l, d in curl),
+                    ),
+                )
+                for k in range(m)
+            ]
+            value = VectorField(comps)
             if not value.is_zero():
                 n_phi[(i, j)] = value
             correction = d_eta.coefficient((i, j))
@@ -342,10 +340,10 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
 def check_quaternionic(t: ThreeStructure) -> CheckReport:
     """All six identities relating (phi, xi, eta) across each even permutation."""
     items: list[CheckItem] = []
-    m = t.m
     for (a, b, c) in EVEN_PERMS:
         sa, sb, sc = t.structure(a), t.structure(b), t.structure(c)
         eta_a, eta_b = sa.eta_components(), sb.eta_components()
+        eta_c = VectorField(sc.eta_components())
         tag = f"quaternionic[{a}{b}{c}]"
         diff = sc.phi - (sa.phi * sb.phi - outer_xi_eta(sa.xi, eta_b))
         items.append(_matrix_item(f"{tag}.phi_c_eq_phi_a_phi_b", diff.entries))
@@ -357,13 +355,11 @@ def check_quaternionic(t: ThreeStructure) -> CheckReport:
         vec = sc.xi + sb.phi.apply(sa.xi)
         witness = _first_component_witness(vec.components, "xi residual")
         items.append(CheckItem(f"{tag}.xi_c_eq_minus_phi_b_xi_a", witness is None, witness))
-        row = eta_compose_phi(eta_a, sb.phi)
-        diff_row = [sc.eta_components()[k] - row[k] for k in range(m)]
-        witness = _first_component_witness(diff_row, "eta residual")
+        vec = eta_c - sb.phi.transpose().apply(VectorField(eta_a))
+        witness = _first_component_witness(vec.components, "eta residual")
         items.append(CheckItem(f"{tag}.eta_c_eq_eta_a_phi_b", witness is None, witness))
-        row = eta_compose_phi(eta_b, sa.phi)
-        diff_row = [sc.eta_components()[k] + row[k] for k in range(m)]
-        witness = _first_component_witness(diff_row, "eta residual")
+        vec = eta_c + sa.phi.transpose().apply(VectorField(eta_b))
+        witness = _first_component_witness(vec.components, "eta residual")
         items.append(CheckItem(f"{tag}.eta_c_eq_minus_eta_b_phi_a", witness is None, witness))
     return CheckReport(tuple(items))
 
@@ -406,7 +402,6 @@ def check_three_cosymplectic(
             f"chart dimension {t.m} is not of the form 4n+3; no 3-structure exists"
         )
     items: list[CheckItem] = []
-    m = t.m
     for alpha in (1, 2, 3):
         s = t.structure(alpha)
         label = f"[{alpha}]"
@@ -438,12 +433,8 @@ def check_three_cosymplectic(
                 nij.witness("n_one"),
             )
         )
-        g_xi = [
-            sum((t.g.entries[i][j] * s.xi.components[j] for j in range(m)), Poly.zero(m))
-            for i in range(m)
-        ]
-        diff_row = [g_xi[i] - s.eta_components()[i] for i in range(m)]
-        witness = _first_component_witness(diff_row, "g(xi) - eta")
+        vec = EndField(t.g.entries).apply(s.xi) - VectorField(s.eta_components())
+        witness = _first_component_witness(vec.components, "g(xi) - eta")
         items.append(CheckItem(f"reeb_metric_dual{label}", witness is None, witness))
     items.extend(check_quaternionic(t))
     items.append(_positive_definite_item(t.g, metric_sample_points))

@@ -16,12 +16,14 @@ from cosym3 import (
     check_quaternionic,
     check_three_cosymplectic,
     d_homothetic_deform,
+    euclidean_space,
     fundamental_form,
     nijenhuis_tensor,
 )
 from cosym3.poly import Poly
 from cosym3.structures import DimensionError, StructureError
 
+import cases
 import randgen
 
 
@@ -141,41 +143,101 @@ def _sympy_nijenhuis(phi_rows, xs):
     return out
 
 
-def test_nijenhuis_polynomial_oracle(standard7):
-    # Insert x1 off-diagonal into phi_1 and compare the raw tensor against an
-    # independent symbolic expansion of the four-bracket formula.
-    space, t = standard7
-    s = t.structure(1)
-    m = t.m
-    entries = [list(row) for row in s.phi.entries]
-    entries[0][2] = entries[0][2] + Poly.variable(m, 0)
-    phi = EndField(entries)
-    result = nijenhuis_tensor(phi, s.eta, s.xi)
-    assert not result.phi_tensor_vanishes
+def _to_sympy(p, xs):
+    return sum(
+        (
+            sympy.Rational(c) * sympy.prod([xs[v] ** e for v, e in enumerate(expo)])
+            for expo, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
 
-    xs = sympy.symbols(f"x0:{m}")
-    phi_sym = [
-        [
-            sum(
-                sympy.Rational(c) * sympy.prod([xs[v] ** e for v, e in enumerate(expo)])
-                for expo, c in p.terms.items()
+
+def _sympy_curl_term(phi_rows, xs):
+    """The sum over l of phi^k_l (d_i phi^l_j - d_j phi^l_i), per pair and k."""
+    m = len(xs)
+    return {
+        (i, j): [
+            sympy.expand(
+                sum(
+                    phi_rows[k][l]
+                    * (sympy.diff(phi_rows[l][j], xs[i]) - sympy.diff(phi_rows[l][i], xs[j]))
+                    for l in range(m)
+                )
             )
-            for p in row
+            for k in range(m)
         ]
-        for row in phi.entries
-    ]
-    oracle = _sympy_nijenhuis(phi_sym, xs)
+        for i in range(m)
+        for j in range(i + 1, m)
+    }
+
+
+def _assert_matches_oracle(ours, oracle, xs):
     for (i, j), vec in oracle.items():
-        ours = result.n_phi.get((i, j))
-        if ours is None:
+        mine = ours.get((i, j))
+        if mine is None:
             assert all(v == 0 for v in vec), (i, j)
             continue
-        for k in range(m):
-            mine = sum(
-                sympy.Rational(c) * sympy.prod([xs[v] ** e for v, e in enumerate(expo)])
-                for expo, c in ours.components[k].terms.items()
-            )
-            assert sympy.expand(mine - vec[k]) == 0, (i, j, k)
+        for k, expected in enumerate(vec):
+            assert sympy.expand(_to_sympy(mine.components[k], xs) - expected) == 0, (i, j, k)
+
+
+def _seeded_structure(n, alpha, seed, count):
+    space, t = euclidean_space(n)
+    s = t.structure(alpha)
+    phi = cases.seeded_phi(s.phi, seed, count)
+    return AlmostContactMetricStructure(phi, s.xi, s.eta, s.g)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: cases.polynomial_phi7().structure(1), id="dim7-x1"),
+        pytest.param(lambda: _seeded_structure(0, 1, 11, 3), id="dim3-seed11"),
+        pytest.param(lambda: _seeded_structure(0, 2, 12, 5), id="dim3-seed12"),
+        pytest.param(lambda: _seeded_structure(1, 1, 13, 6), id="dim7-seed13"),
+        pytest.param(lambda: _seeded_structure(1, 3, 14, 10), id="dim7-seed14"),
+    ],
+)
+def test_nijenhuis_polynomial_oracle(build):
+    # Compare the raw tensor of a polynomial phi against an independent
+    # symbolic expansion of the four-bracket formula.  Each phi keeps zero
+    # entries, and each has a nonzero curl term phi(d_i phi_j - d_j phi_i).
+    s = build()
+    m = s.m
+    result = nijenhuis_tensor(s.phi, s.eta, s.xi)
+    assert not result.phi_tensor_vanishes
+    assert any(p.is_zero() for row in s.phi.entries for p in row)
+
+    xs = sympy.symbols(f"x0:{m}")
+    phi_sym = [[_to_sympy(p, xs) for p in row] for row in s.phi.entries]
+    curl = _sympy_curl_term(phi_sym, xs)
+    assert any(v != 0 for vec in curl.values() for v in vec)
+    _assert_matches_oracle(result.n_phi, _sympy_nijenhuis(phi_sym, xs), xs)
+
+
+@pytest.mark.parametrize("seeded_phi", [False, True], ids=["constant-phi", "seeded-phi"])
+def test_normality_tensor_nonclosed_eta_oracle(seeded_phi):
+    # eta_1 of standard7 plus polynomial terms, so d(eta_1) != 0 and the
+    # normality tensor differs from N_phi by 2 d(eta)(d_i, d_j) xi.
+    s = cases.nonclosed_eta7().structure(1)
+    if seeded_phi:
+        s = AlmostContactMetricStructure(cases.seeded_phi(s.phi, 15, 6), s.xi, s.eta, s.g)
+    m = s.m
+    result = nijenhuis_tensor(s.phi, s.eta, s.xi)
+    assert result.n_one != result.n_phi
+
+    xs = sympy.symbols(f"x0:{m}")
+    phi_sym = [[_to_sympy(p, xs) for p in row] for row in s.phi.entries]
+    eta_sym = [_to_sympy(p, xs) for p in s.eta_components()]
+    xi_sym = [_to_sympy(p, xs) for p in s.xi.components]
+    n_phi = _sympy_nijenhuis(phi_sym, xs)
+    _assert_matches_oracle(result.n_phi, n_phi, xs)
+    n_one = {}
+    for (i, j), vec in n_phi.items():
+        d_eta = sympy.diff(eta_sym[j], xs[i]) - sympy.diff(eta_sym[i], xs[j])
+        n_one[(i, j)] = [sympy.expand(vec[k] + 2 * d_eta * xi_sym[k]) for k in range(m)]
+    _assert_matches_oracle(result.n_one, n_one, xs)
 
 
 def test_quaternionic_identities(torus7, m7f_model):
