@@ -1,30 +1,48 @@
-"""Named structures for the golden check reports and the Nijenhuis oracles.
+"""Named structures for the golden reports and the Nijenhuis oracles.
 
-``python tests/cases.py`` rewrites ``tests/golden/check_reports.json`` from
-the current code.  Do that only when a report is meant to change.
+``python tests/cases.py`` rewrites every file under ``tests/golden/`` from
+the current code: the check reports, and the byte-exact stdout, stderr and
+exit code of the pinned CLI runs.  Do that only when an output is meant to
+change.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from cosym3 import (
     AlmostContactMetricStructure,
     EndField,
     KForm,
+    Metric,
     ThreeStructure,
     check_three_cosymplectic,
     euclidean_space,
+    flat_torus,
     m7f,
+    mapping_torus,
+    pullback,
+    quaternion_right_mult,
 )
+from cosym3.cli import main, structure_file_dict
+from cosym3.linalg import inverse
+from cosym3.models import hyper_kahler_blocks
 from cosym3.poly import Poly
 
 import randgen
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "check_reports.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "check_reports.json"
+CLI_GOLDEN_PATH = GOLDEN_DIR / "cli_reports.json"
+SLOW_CLI_GOLDEN_PATH = GOLDEN_DIR / "cli_reports_slow.json"
 
 
 def replace_structure(t: ThreeStructure, alpha: int, phi=None, eta=None) -> ThreeStructure:
@@ -91,7 +109,107 @@ def check_reports() -> dict:
     return {name: check_three_cosymplectic(build()).to_dict() for name, build in CASES.items()}
 
 
+# -- models read from structure files by the pinned CLI runs -------------------
+
+
+def gl7_torus7():
+    """torus7 pulled back by a seeded matrix A in GL(7, Z).
+
+    x -> A x is a diffeomorphism of the torus, so the result is again a
+    constant 3-cosymplectic structure, but its e_alpha are no longer diagonal
+    in the monomial basis: phi' = A^-1 phi A, xi' = A^-1 xi, eta' = eta A and
+    g' = A^T g A.
+    """
+    space, t = flat_torus(1)
+    a_mat = randgen.unimodular(random.Random(5), 7, shears=8)
+    a = EndField.from_fractions(a_mat)
+    a_inv = EndField.from_fractions(inverse(a_mat))
+    g = t.g.to_fractions()
+    g_pulled = Metric.from_fractions(
+        [
+            [sum(a_mat[k][i] * g[k][l] * a_mat[l][j] for k in range(7) for l in range(7))
+             for j in range(7)]
+            for i in range(7)
+        ]
+    )
+    structures = [
+        AlmostContactMetricStructure(
+            a_inv * s.phi * a, a_inv.apply(s.xi), pullback(a, s.eta), g_pulled
+        )
+        for s in t.structures
+    ]
+    return space, ThreeStructure(structures)
+
+
+def swap11():
+    """The dim-11 mapping torus of a seeded block swap [[0, R_u], [R_v, 0]].
+
+    One of u, v is +-1 and the other a seeded imaginary unit; the monodromy
+    has order 8 and commutes with the left-multiplication structures.
+    """
+    rng = random.Random(11)
+    real = rng.choice(("1", "-1"))
+    imag = rng.choice(("", "-")) + rng.choice(("i", "j", "k"))
+    u, v = (real, imag) if rng.random() < 0.5 else (imag, real)
+    upper = quaternion_right_mult(u).to_fractions()
+    lower = quaternion_right_mult(v).to_fractions()
+    zero = [Fraction(0)] * 4
+    mono = [zero + row for row in upper] + [row + zero for row in lower]
+    return mapping_torus(hyper_kahler_blocks(2), EndField.from_fractions(mono))
+
+
+#: Structure files that pinned CLI runs read with ``--input``.
+MODEL_FILES = {"gl7_torus7.json": gl7_torus7, "swap11.json": swap11}
+
+#: CLI runs whose stdout, stderr and exit code are pinned byte for byte.
+CLI_CASES = {
+    f"{cmd} {name}": [cmd, "--builtin", name] + (["--a", "7/3"] if cmd == "deform" else [])
+    for name in ("torus7", "m7f")
+    for cmd in ("betti", "liealg", "deform")
+}
+CLI_CASES.update(
+    {
+        "betti torus3": ["betti", "--builtin", "torus3"],
+        "betti standard7": ["betti", "--builtin", "standard7"],
+        "liealg torus3": ["liealg", "--builtin", "torus3"],
+        "check gl7_torus7": ["check", "--input", "gl7_torus7.json"],
+        "betti gl7_torus7": ["betti", "--input", "gl7_torus7.json"],
+        "liealg gl7_torus7": ["liealg", "--input", "gl7_torus7.json"],
+    }
+)
+
+#: Pinned runs too slow for tier-1 (about 12 s together); ``pytest -m slow``.
+SLOW_CLI_CASES = {
+    "betti swap11": ["betti", "--input", "swap11.json"],
+    "liealg swap11": ["liealg", "--input", "swap11.json"],
+}
+
+
+def run_cli(argv: list[str], workdir: Path) -> dict:
+    """Run the CLI in-process from ``workdir``; write the file it reads first."""
+    if "--input" in argv:
+        name = argv[argv.index("--input") + 1]
+        space, t = MODEL_FILES[name]()
+        (workdir / name).write_text(json.dumps(structure_file_dict(space, t)))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def _write(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {path}\n")
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(check_reports(), indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {GOLDEN_PATH}\n")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    _write(GOLDEN_PATH, check_reports())
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, cases in ((CLI_GOLDEN_PATH, CLI_CASES), (SLOW_CLI_GOLDEN_PATH, SLOW_CLI_CASES)):
+            _write(path, {name: run_cli(argv, Path(tmp)) for name, argv in cases.items()})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cosym3 import AlmostContactMetricStructure, ThreeStructure, flat_torus
+from cosym3 import AlmostContactMetricStructure, KForm, ThreeStructure, flat_torus, m7f
 from cosym3.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -127,6 +127,48 @@ def test_betti_inconsistent_model_exits_with_verdict_failure(tmp_path, capsys):
     code, out, err = run(capsys, "betti", "--input", str(path))
     assert code == EXIT_VERDICT_FAIL
     assert "inconsistency" in err
+
+
+def _inconsistent_betti(tmp_path, capsys, space, t):
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(structure_file_dict(space, t)))
+    code, out, err = run(capsys, "betti", "--input", str(path))
+    assert code == EXIT_VERDICT_FAIL
+    assert out == ""
+    return err
+
+
+def test_betti_doubled_xi_is_not_idempotent(tmp_path, capsys):
+    space, t = flat_torus(1)
+    s1 = t.structure(1)
+    broken = ThreeStructure(
+        [
+            AlmostContactMetricStructure(s1.phi, s1.xi.scaled(2), s1.eta, s1.g),
+            t.structure(2),
+            t.structure(3),
+        ]
+    )
+    err = _inconsistent_betti(tmp_path, capsys, space, broken)
+    assert err == "cosym3: model inconsistency: e1 is not idempotent on degree 1\n"
+
+
+def test_betti_eta_off_invariant_forms_leaves_harmonic_space(tmp_path, capsys):
+    # eta_1 + dx1 on m7f: dx1 is not fixed by the monodromy, so l1 maps the
+    # constant function out of the harmonic 1-forms.
+    space, t = m7f()
+    s1 = t.structure(1)
+    eta = s1.eta + KForm.coordinate(7, 0)
+    broken = ThreeStructure(
+        [
+            AlmostContactMetricStructure(s1.phi, s1.xi, eta, s1.g),
+            t.structure(2),
+            t.structure(3),
+        ]
+    )
+    err = _inconsistent_betti(tmp_path, capsys, space, broken)
+    assert err == (
+        "cosym3: model inconsistency: l1 does not preserve harmonic forms at degree 0\n"
+    )
 
 
 def test_liealg_report(capsys):
