@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import GradedOperatorMatrix, HarmonicTable, decompose, operator_matrix
+from .cohomology import (
+    BASIC,
+    GradedOperatorMatrix,
+    HarmonicTable,
+    decompose,
+    form_vector,
+    operator_matrix,
+)
 from .exterior import HodgeOperator, KForm, wedge
 from .models import ModelSpace
 from .structures import ThreeStructure, fundamental_form
@@ -101,8 +108,8 @@ def big_operators(
         raise DegenerateAlgebraError(
             "fiber dimension 0: H, L, Lambda, K all vanish on basic forms"
         )
-    dims = [len(table.component(k, (0, 0, 0))) for k in range(m + 1)]
-    bases = {k: list(table.component(k, (0, 0, 0))) for k in range(m + 1)}
+    dims = [len(table.span(k, BASIC)) for k in range(m + 1)]
+    bases = {k: table.component(k, BASIC) for k in range(m + 1)}
     star = HodgeOperator(t.g)
     xi_forms = {alpha: xi_form(t, alpha) for alpha in (1, 2, 3)}
     ops: dict[str, GradedOperatorMatrix] = {}
@@ -118,7 +125,7 @@ def big_operators(
                 if any(not im.is_zero() for im in images):
                     raise RuntimeError(f"L{alpha} image overflows the top degree")
                 continue
-            mat = operator_matrix(images, bases[k + 2], m, k + 2)
+            mat = operator_matrix([form_vector(im) for im in images], table.span(k + 2, BASIC))
             if mat is None:
                 raise RuntimeError(
                     f"L{alpha} does not preserve the basic harmonic forms at degree {k}"
@@ -126,7 +133,9 @@ def big_operators(
             l_blocks[k] = mat
             if k >= 2:
                 images = [star(wedge(xi2, star(f))) for f in bases[k]]
-                mat = operator_matrix(images, bases[k - 2], m, k - 2)
+                mat = operator_matrix(
+                    [form_vector(im) for im in images], table.span(k - 2, BASIC)
+                )
                 if mat is None:
                     raise RuntimeError(
                         f"Lambda{alpha} does not preserve the basic harmonic forms at degree {k}"
@@ -358,7 +367,7 @@ def lie_report(
         table = decompose(space, t)
     graded = big_operators(space, t, table)
     m = table.m
-    dims = [len(table.component(k, (0, 0, 0))) for k in range(m + 1)]
+    dims = [len(table.span(k, BASIC)) for k in range(m + 1)]
     flats = {
         name: _flatten(op.blocks, dims, op.degree_shift) for name, op in graded.items()
     }

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices as lists of lists of ``Fraction``.  Everything here is
+Small dense matrices as lists of lists of ``Fraction``, and sparse vectors as
+dicts from ordered keys to nonzero ``Fraction``s.  Everything here is
 deterministic: pivots are chosen by position, never by magnitude, and kernel
 and row-space bases are reduced-echelon vectors taken in column order.
 """
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+SparseVector = dict  # key -> nonzero Fraction; keys are ordered columns
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -60,10 +62,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
                 total += x * y
         out.append(total)
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -133,6 +131,79 @@ def kernel_basis(a: Matrix) -> list[Vector]:
             v[pc] = -red[r][free]
         basis.append(v)
     return basis
+
+
+def add_scaled(v: SparseVector, c: Fraction, w: SparseVector) -> None:
+    """v += c * w in place, dropping entries that cancel."""
+    for key, x in w.items():
+        y = v.get(key, 0) + c * x
+        if y:
+            v[key] = y
+        else:
+            v.pop(key, None)
+
+
+def sparse_sum(terms) -> SparseVector:
+    """The sum of (key, value) pairs as a sparse vector."""
+    out: SparseVector = {}
+    for key, x in terms:
+        out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
+
+
+def sparse_rref(vectors) -> list[SparseVector]:
+    """Canonical (reduced echelon) basis of the span of sparse vectors.
+
+    The pivot of a basis vector is its smallest key, where it has entry 1;
+    every other basis vector is 0 there.  Vectors come out in pivot order, so
+    the result is ``row_space_basis`` of the dense rows, minus the zeros.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        v = {key: x for key, x in vec.items() if x}
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                c = v[p]
+                rows[p] = v if c == 1 else {key: x / c for key, x in v.items()}
+                break
+            add_scaled(v, -v[p], row)
+    # Back substitution, largest pivot first: a row that is already reduced
+    # is 0 at every other pivot, so subtracting it disturbs no other pivot.
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for q in [key for key in row if key != p and key in rows]:
+            add_scaled(row, -row[q], rows[q])
+    return [rows[p] for p in sorted(rows)]
+
+
+class EchelonBasis:
+    """A reduced echelon basis (as from ``sparse_rref``) and its pivot index.
+
+    Every basis vector is 1 at its own pivot and 0 at all others, so the
+    coordinates of a vector in the span are its entries at the pivots.
+    """
+
+    __slots__ = ("vectors", "index")
+
+    def __init__(self, vectors: list[SparseVector]):
+        self.vectors = tuple(vectors)
+        self.index = {min(v): i for i, v in enumerate(self.vectors)}
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def coordinates(self, vec: SparseVector) -> dict[int, Fraction] | None:
+        """Coordinates of ``vec``, verified exactly; None outside the span."""
+        coords = {}
+        rest = {key: x for key, x in vec.items() if x}
+        for key, c in vec.items():
+            i = self.index.get(key)
+            if i is not None and c:
+                coords[i] = c
+                add_scaled(rest, -c, self.vectors[i])
+        return None if rest else coords
 
 
 def solve_many(a: Matrix, b: Matrix) -> Matrix | None:

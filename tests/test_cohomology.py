@@ -53,14 +53,14 @@ def test_invariant_forms_right_mult_i():
     # The invariant 2-forms span {dx12, dx34, dx13 - dx24, dx14 + dx23}.
     basis = invariant_forms(r_i, 2)
     tuples = monomial_tuples(4, 2)
-    got = [form_vector(f, tuples) for f in basis]
+    got = [[f.get(t, 0) for t in tuples] for f in basis]
     expected_forms = [
         KForm(4, 2, {(0, 1): 1}),
         KForm(4, 2, {(2, 3): 1}),
         KForm(4, 2, {(0, 2): 1, (1, 3): -1}),
         KForm(4, 2, {(0, 3): 1, (1, 2): 1}),
     ]
-    expected = [form_vector(f, tuples) for f in expected_forms]
+    expected = [[form_vector(f).get(t, 0) for t in tuples] for f in expected_forms]
     assert linalg.row_space_basis(got) == linalg.row_space_basis(expected)
 
 
@@ -73,6 +73,24 @@ def test_invariant_forms_random_matrices_trace_cross_check():
         assert len(basis) == kernel_dim_oracle(a, q)
 
 
+def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
+    from collections import Counter
+
+    from cosym3 import cohomology, decompose
+
+    calls = Counter()
+    original = cohomology.invariant_forms
+
+    def counting(a, q, *args, **kwargs):
+        calls[q] += 1
+        return original(a, q, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "invariant_forms", counting)
+    table = decompose(*m7f_model)
+    assert table.b == (1, 3, 7, 13, 13, 7, 3, 1)
+    assert calls == Counter(range(5))
+
+
 def test_harmonic_space_dimensions(torus7, m7f_model, standard7):
     space, t = torus7
     assert len(harmonic_space(space, t, 1)) == 7
@@ -80,7 +98,7 @@ def test_harmonic_space_dimensions(torus7, m7f_model, standard7):
     space, t = m7f_model
     basis1 = harmonic_space(space, t, 1)
     assert len(basis1) == 3
-    assert basis1 == [KForm.monomial(7, (i,)) for i in (4, 5, 6)]
+    assert basis1 == [form_vector(KForm.monomial(7, (i,))) for i in (4, 5, 6)]
     assert len(harmonic_space(space, t, 0)) == 1
     space, t = standard7
     with pytest.raises(NonCompactError):
@@ -195,7 +213,7 @@ def test_l_squared_zero(torus7):
     eta1 = t.structure(1).eta
     for k in range(6):
         for f in harmonic_space(space, t, k):
-            assert wedge(eta1, wedge(eta1, f)).is_zero()
+            assert wedge(eta1, wedge(eta1, KForm(7, k, f))).is_zero()
 
 
 def test_betti_checks(torus7_table, m7f_table):
