@@ -231,6 +231,14 @@ class GradedOperatorMatrix:
         return self.blocks.get(k, [])
 
 
+def _block(images, dst: linalg.EchelonBasis, op: str, k: int) -> linalg.Matrix:
+    """``operator_matrix``, raising when ``op`` maps a degree-k form off ``dst``."""
+    mat = operator_matrix(images, dst)
+    if mat is None:
+        raise CohomologyError(f"{op} does not preserve harmonic forms at degree {k}")
+    return mat
+
+
 def small_operators(
     space: ModelSpace,
     t: ThreeStructure,
@@ -254,22 +262,11 @@ def small_operators(
         for k in range(m + 1):
             vectors = bases[k].vectors
             if k < m:
-                mat = operator_matrix([_wedge(eta, v) for v in vectors], bases[k + 1])
-                if mat is None:
-                    raise CohomologyError(f"l{alpha} does not preserve harmonic forms at degree {k}")
-                l_blocks[k] = mat
+                l_blocks[k] = _block([_wedge(eta, v) for v in vectors], bases[k + 1], f"l{alpha}", k)
             contracted = [_contract(xi, v) for v in vectors]
             if k > 0:
-                mat = operator_matrix(contracted, bases[k - 1])
-                if mat is None:
-                    raise CohomologyError(
-                        f"lambda{alpha} does not preserve harmonic forms at degree {k}"
-                    )
-                lam_blocks[k] = mat
-            mat = operator_matrix([_wedge(eta, c) for c in contracted], bases[k])
-            if mat is None:
-                raise CohomologyError(f"e{alpha} does not preserve harmonic forms at degree {k}")
-            e_blocks[k] = mat
+                lam_blocks[k] = _block(contracted, bases[k - 1], f"lambda{alpha}", k)
+            e_blocks[k] = _block([_wedge(eta, c) for c in contracted], bases[k], f"e{alpha}", k)
         ops[f"l{alpha}"] = GradedOperatorMatrix(f"l{alpha}", 1, l_blocks)
         ops[f"lambda{alpha}"] = GradedOperatorMatrix(f"lambda{alpha}", -1, lam_blocks)
         ops[f"e{alpha}"] = GradedOperatorMatrix(f"e{alpha}", 0, e_blocks)
@@ -406,10 +403,11 @@ def verify_ladder(
                 src = table.span(src_deg, eps)
                 dst = table.span(src_deg + 1, target)
                 name = f"ladder[k={k}].l{alpha}.{eps_label(eps)}->{eps_label(target)}"
-                columns = [dst.coordinates(_wedge(eta, v)) for v in src.vectors]
                 if len(src) != len(dst):
                     items.append(CheckItem(name, False, f"dims {len(src)} -> {len(dst)}"))
-                elif None in columns:
+                    continue
+                columns = [dst.coordinates(_wedge(eta, v)) for v in src.vectors]
+                if None in columns:
                     items.append(CheckItem(name, False, "image leaves the target component"))
                 else:
                     ok = len(linalg.sparse_rref(columns)) == len(src)
