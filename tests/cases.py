@@ -178,10 +178,12 @@ CLI_CASES.update(
     }
 )
 
-#: Pinned runs too slow for tier-1 (about 12 s together); ``pytest -m slow``.
+#: Pinned runs too slow for tier-1; ``pytest -m slow``.
 SLOW_CLI_CASES = {
     "betti swap11": ["betti", "--input", "swap11.json"],
     "liealg swap11": ["liealg", "--input", "swap11.json"],
+    "betti torus11": ["betti", "--builtin", "torus11"],
+    "liealg torus11": ["liealg", "--builtin", "torus11"],
 }
 
 
