@@ -25,7 +25,7 @@ from .cohomology import (
     eps_label,
     verify_ladder,
 )
-from .exterior import EndField, KForm, Metric, VectorField
+from .exterior import EndField, KForm, Metric, MetricError, VectorField
 from .liealg import (
     DegenerateAlgebraError,
     GENERATORS,
@@ -45,7 +45,6 @@ from .poly import Poly
 from .structures import (
     AlmostContactMetricStructure,
     CheckReport,
-    DimensionError,
     StructureError,
     ThreeStructure,
     check_three_cosymplectic,
@@ -550,7 +549,8 @@ def main(argv=None) -> int:
     except (
         StructureFileError,
         ModelError,
-        DimensionError,
+        StructureError,
+        MetricError,
         NonCompactError,
         DegenerateAlgebraError,
     ) as exc:

@@ -610,6 +610,10 @@ def _sqrt_fraction(value: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+class MetricError(ValueError):
+    """The metric admits no exact Hodge star."""
+
+
 class HodgeOperator:
     """Hodge star for a constant positive-definite metric.
 
@@ -624,11 +628,11 @@ class HodgeOperator:
         self.m = g.m
         mat = g.to_fractions()
         if not _leading_minors_positive(mat):
-            raise ValueError("metric is degenerate or not positive definite")
+            raise MetricError("metric is degenerate or not positive definite")
         d = linalg.det(mat)
         sqrt_det = _sqrt_fraction(d)
         if sqrt_det is None:
-            raise ValueError(
+            raise MetricError(
                 "det(g) is not a rational square; exact Hodge star unavailable"
             )
         self.inverse = linalg.inverse(mat)

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 from . import linalg
 from .cohomology import (
     BASIC,
+    CohomologyError,
     GradedOperatorMatrix,
     HarmonicTable,
     decompose,
@@ -52,43 +54,6 @@ def xi_form(t: ThreeStructure, alpha: int) -> KForm:
     return phi_form + wedge(t.structure(beta).eta, t.structure(gamma).eta)
 
 
-def _flatten(blocks: dict[int, linalg.Matrix], dims: list[int], shift: int) -> linalg.Matrix:
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    big = linalg.zeros(total, total)
-    for k, block in blocks.items():
-        if not block or not block[0]:
-            continue
-        dst = k + shift
-        if not 0 <= dst < len(dims):
-            continue
-        for i in range(len(block)):
-            for j in range(len(block[0])):
-                big[offsets[dst] + i][offsets[k] + j] = block[i][j]
-    return big
-
-
-def _graded_from_flat(big: linalg.Matrix, dims: list[int], shift: int) -> dict[int, linalg.Matrix]:
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    blocks = {}
-    for k, d in enumerate(dims):
-        dst = k + shift
-        if d == 0 or not 0 <= dst < len(dims) or dims[dst] == 0:
-            continue
-        blocks[k] = [
-            [big[offsets[dst] + i][offsets[k] + j] for j in range(d)]
-            for i in range(dims[dst])
-        ]
-    return blocks
-
-
 def big_operators(
     space: ModelSpace,
     t: ThreeStructure,
@@ -96,7 +61,8 @@ def big_operators(
 ) -> dict[str, GradedOperatorMatrix]:
     """Matrices of H, L_alpha, Lambda_alpha, K_alpha on the basic harmonic spaces.
 
-    Raises if any operator fails to preserve the (0,0,0) components, or if
+    Raises :class:`CohomologyError` if any operator fails to preserve the
+    (0,0,0) components, and :class:`DegenerateAlgebraError` if
     the fiber dimension is zero (every operator is then identically zero and
     the algebra degenerates).
     """
@@ -123,11 +89,11 @@ def big_operators(
             images = [wedge(xi2, f) for f in bases[k]]
             if k + 2 > m:
                 if any(not im.is_zero() for im in images):
-                    raise RuntimeError(f"L{alpha} image overflows the top degree")
+                    raise CohomologyError(f"L{alpha} image overflows the top degree")
                 continue
             mat = operator_matrix([form_vector(im) for im in images], table.span(k + 2, BASIC))
             if mat is None:
-                raise RuntimeError(
+                raise CohomologyError(
                     f"L{alpha} does not preserve the basic harmonic forms at degree {k}"
                 )
             l_blocks[k] = mat
@@ -137,7 +103,7 @@ def big_operators(
                     [form_vector(im) for im in images], table.span(k - 2, BASIC)
                 )
                 if mat is None:
-                    raise RuntimeError(
+                    raise CohomologyError(
                         f"Lambda{alpha} does not preserve the basic harmonic forms at degree {k}"
                     )
                 lam_blocks[k] = mat
@@ -150,34 +116,50 @@ def big_operators(
     }
     ops["H"] = GradedOperatorMatrix("H", 0, h_blocks)
     for alpha, (beta, gamma) in _COMPLEMENT.items():
-        l_flat = _flatten(ops[f"L{beta}"].blocks, dims, 2)
-        lam_flat = _flatten(ops[f"Lam{gamma}"].blocks, dims, -2)
-        k_flat = linalg.commutator(l_flat, lam_flat)
-        ops[f"K{alpha}"] = GradedOperatorMatrix(
-            f"K{alpha}", 0, _graded_from_flat(k_flat, dims, 0)
-        )
+        k_op = linalg.sparse_commutator(_sparse(ops[f"L{beta}"]), _sparse(ops[f"Lam{gamma}"]))
+        blocks = {
+            k: [[k_op.get(((k, i), (k, j)), Fraction(0)) for j in range(d)] for i in range(d)]
+            for k, d in enumerate(dims)
+            if d
+        }
+        ops[f"K{alpha}"] = GradedOperatorMatrix(f"K{alpha}", 0, blocks)
     return ops
 
 
-@dataclass(frozen=True)
-class LieAlgebraReport:
-    """Exact structure-constant analysis of the ten-operator span."""
+def _sparse(op: GradedOperatorMatrix) -> linalg.SparseMatrix:
+    return linalg.sparse_matrix(op.blocks, op.degree_shift)
 
-    generator_names: tuple[str, ...]
-    dims: tuple[int, ...]
-    generators: dict[str, linalg.Matrix]
-    graded: dict[str, GradedOperatorMatrix]
+
+@dataclass(frozen=True)
+class SpanAnalysis:
+    """Exact bracket-closure analysis of the span of some operators.
+
+    ``bracket_coeffs[(i, j)]`` for i < j holds the coordinates of the bracket
+    of operators i and j over the operators, as a dict from operator index to
+    nonzero coefficient.  The structure constants and everything computed
+    from them are None unless the operators are independent and closed.
+    """
+
     independent: bool
     closed: bool
     span_dim: int
-    bracket_coeffs: dict[tuple[int, int], tuple[Fraction, ...]] | None
+    bracket_coeffs: dict[tuple[int, int], dict[int, Fraction]] | None
     killing: linalg.Matrix | None
     killing_rank: int | None
     signature: tuple[int, int, int] | None
-    h_commutator_sign: int | None
-    h_commutator_uniform: bool
     jacobi_ok: bool | None
     killing_invariance_ok: bool | None
+
+
+@dataclass(frozen=True)
+class LieAlgebraReport(SpanAnalysis):
+    """The span analysis of the ten operators, with the operators themselves."""
+
+    generator_names: tuple[str, ...]
+    dims: tuple[int, ...]
+    graded: dict[str, GradedOperatorMatrix]
+    h_commutator_sign: int | None
+    h_commutator_uniform: bool
 
     @property
     def passed(self) -> bool:
@@ -198,15 +180,16 @@ class LieAlgebraReport:
             raise ValueError("bracket table unavailable: span did not close")
         i = self.generator_names.index(left)
         j = self.generator_names.index(right)
-        if i == j:
-            return tuple(Fraction(0) for _ in self.generator_names)
+        coeffs, sign = {}, 1
         if i < j:
-            return self.bracket_coeffs[(i, j)]
-        return tuple(-c for c in self.bracket_coeffs[(j, i)])
+            coeffs = self.bracket_coeffs[(i, j)]
+        elif i > j:
+            coeffs, sign = self.bracket_coeffs[(j, i)], -1
+        return tuple(sign * coeffs.get(k, Fraction(0)) for k in range(len(self.generator_names)))
 
 
-def analyze_operator_span(ops: list[linalg.Matrix]) -> dict:
-    """Bracket-closure analysis of a list of square matrices.
+def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
+    """Bracket-closure analysis of a list of sparse matrices.
 
     Returns independence, the dimension of the bracket-closed span, and when
     the given operators are independent and closed, the structure constants,
@@ -214,147 +197,88 @@ def analyze_operator_span(ops: list[linalg.Matrix]) -> dict:
     verdicts.  Shared by the operator algebra and by reference realizations.
     """
     count = len(ops)
-    size = len(ops[0]) if ops else 0
-    flat = [[row[j] for row in op for j in range(size)] for op in ops]
-    _, flat_pivots = linalg.rref(flat)
-    independent = len(flat_pivots) == count
+    basis = linalg.EchelonBasis(linalg.sparse_rref(ops))
+    independent = len(basis) == count
+    brackets = {
+        (i, j): linalg.sparse_commutator(ops[i], ops[j])
+        for i, j in combinations(range(count), 2)
+    }
+    # Coordinates over the echelon basis, verified exactly; None off the span.
+    coords = {key: basis.coordinates(br) for key, br in brackets.items()}
+    outside = [brackets[key] for key, c in coords.items() if c is None]
+    if outside or not independent:
+        dim = _closure_dim(basis, outside)
+        return SpanAnalysis(independent, not outside, dim, None, None, None, None, None, None)
 
-    def express(vec: list[Fraction]) -> tuple[Fraction, ...] | None:
-        # Coordinates over the generators via the pivot positions, then a
-        # full verification so a vector outside the span is never accepted.
-        if not independent:
-            return linalg.solve(linalg.transpose(flat), vec)
-        sub = [[flat[i][p] for i in range(count)] for p in flat_pivots]
-        sol = linalg.solve(sub, [vec[p] for p in flat_pivots])
-        if sol is None:
-            return None
-        for pos in range(size * size):
-            total = Fraction(0)
-            for i in range(count):
-                x = flat[i][pos]
-                if x and sol[i]:
-                    total += sol[i] * x
-            if total != vec[pos]:
-                return None
-        return tuple(sol)
+    # The echelon coordinates are a bracket's entries at the pivots, so its
+    # coordinates over the operators solve the operators' pivot entries.
+    pivots = [min(v) for v in basis.vectors]
+    inv = linalg.inverse([[op.get(p, Fraction(0)) for op in ops] for p in pivots])
+    coeffs = {
+        key: linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
+        for key, c in coords.items()
+    }
+    table = dict(coeffs)
+    table.update({(j, i): {k: -x for k, x in c.items()} for (i, j), c in coeffs.items()})
 
-    coeffs: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    closed = True
-    span_rows = [row[:] for row in flat]
-    for i in range(count):
-        for j in range(i + 1, count):
-            br = linalg.commutator(ops[i], ops[j])
-            vec = [br[r][c] for r in range(size) for c in range(size)]
-            sol = express(vec)
-            if sol is None:
-                closed = False
-                span_rows.append(vec)
-            else:
-                coeffs[(i, j)] = tuple(sol)
-    if not closed:
-        # Saturate so the reported span dimension is that of the closure.
-        while True:
-            basis = linalg.row_space_basis(span_rows)
-            mats = [
-                [[v[r * size + c] for c in range(size)] for r in range(size)]
-                for v in basis
-            ]
-            added = False
-            cols = linalg.transpose(basis)
-            for a in range(len(mats)):
-                for bdx in range(a + 1, len(mats)):
-                    br = linalg.commutator(mats[a], mats[bdx])
-                    vec = [br[r][c] for r in range(size) for c in range(size)]
-                    if linalg.solve(cols, vec) is None:
-                        span_rows.append(vec)
-                        added = True
-            if not added:
-                break
-        return {
-            "independent": independent,
-            "closed": False,
-            "span_dim": len(linalg.row_space_basis(span_rows)),
-            "coeffs": None,
-            "killing": None,
-            "killing_rank": None,
-            "signature": None,
-            "jacobi_ok": None,
-            "invariance_ok": None,
-        }
+    def const(i: int, j: int) -> dict[int, Fraction]:
+        """Coordinates of [x_i, x_j]."""
+        return table.get((i, j), {})
 
-    span_dim = len(flat_pivots)
+    def bracket_terms(i: int, vec: dict[int, Fraction]):
+        """Terms of [x_i, sum_m vec[m] x_m]."""
+        return ((p, x * y) for m, x in vec.items() for p, y in const(i, m).items())
 
-    zero_row = tuple(Fraction(0) for _ in range(count))
-    c_table = [[zero_row] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if i < j:
-                c_table[i][j] = coeffs[(i, j)]
-            elif i > j:
-                c_table[i][j] = tuple(-x for x in coeffs[(j, i)])
-
-    ad = []
-    for i in range(count):
-        mat = linalg.zeros(count, count)
-        for j in range(count):
-            cc = c_table[i][j]
-            for k in range(count):
-                mat[k][j] = cc[k]
-        ad.append(mat)
+    # ad(x_i) has entry const(i, j)[k] at (k, j), so
+    # tr(ad x_i ad x_j) = sum over k, l of const(i, k)[l] * const(j, l)[k].
     killing = [
-        [linalg.trace(linalg.mat_mul(ad[i], ad[j])) for j in range(count)]
+        [
+            sum(
+                (x * const(j, l).get(k, 0) for k in range(count) for l, x in const(i, k).items()),
+                Fraction(0),
+            )
+            for j in range(count)
+        ]
         for i in range(count)
     ]
-    killing_rank = linalg.rank(killing)
-    sig = linalg.signature(killing)
+    jacobi_ok = not any(
+        linalg.sparse_sum(
+            chain(
+                bracket_terms(i, const(j, l)),
+                bracket_terms(j, const(l, i)),
+                bracket_terms(l, const(i, j)),
+            )
+        )
+        for i, j, l in combinations(range(count), 3)
+    )
+    # K([x_i, x_j], x_l) + K(x_j, [x_i, x_l]) = 0 for all i, j, l.
+    invariance_ok = not any(
+        sum(x * killing[m][l] for m, x in const(i, j).items())
+        + sum(x * killing[j][m] for m, x in const(i, l).items())
+        for i in range(count)
+        for j in range(count)
+        for l in range(count)
+    )
+    return SpanAnalysis(
+        independent=True,
+        closed=True,
+        span_dim=count,
+        bracket_coeffs=coeffs,
+        killing=killing,
+        killing_rank=linalg.rank(killing),
+        signature=linalg.signature(killing),
+        jacobi_ok=jacobi_ok,
+        killing_invariance_ok=invariance_ok,
+    )
 
-    jacobi_ok = True
-    for i in range(count):
-        for j in range(i + 1, count):
-            for l in range(j + 1, count):
-                for p in range(count):
-                    total = Fraction(0)
-                    for mm in range(count):
-                        total += c_table[j][l][mm] * c_table[i][mm][p]
-                        total += c_table[l][i][mm] * c_table[j][mm][p]
-                        total += c_table[i][j][mm] * c_table[l][mm][p]
-                    if total:
-                        jacobi_ok = False
-                        break
-                if not jacobi_ok:
-                    break
-            if not jacobi_ok:
-                break
-        if not jacobi_ok:
-            break
 
-    invariance_ok = True
-    for i in range(count):
-        for j in range(count):
-            for l in range(count):
-                total = Fraction(0)
-                for mm in range(count):
-                    total += c_table[i][j][mm] * killing[mm][l]
-                    total += c_table[i][l][mm] * killing[j][mm]
-                if total:
-                    invariance_ok = False
-                    break
-            if not invariance_ok:
-                break
-        if not invariance_ok:
-            break
-
-    return {
-        "independent": independent,
-        "closed": True,
-        "span_dim": span_dim,
-        "coeffs": coeffs,
-        "killing": killing,
-        "killing_rank": killing_rank,
-        "signature": sig,
-        "jacobi_ok": jacobi_ok,
-        "invariance_ok": invariance_ok,
-    }
+def _closure_dim(basis: linalg.EchelonBasis, outside: list[linalg.SparseMatrix]) -> int:
+    """Dimension of the smallest bracket-closed span containing both arguments."""
+    while outside:
+        basis = linalg.EchelonBasis(linalg.sparse_rref(basis.vectors + tuple(outside)))
+        brackets = (linalg.sparse_commutator(a, b) for a, b in combinations(basis.vectors, 2))
+        outside = [br for br in brackets if basis.coordinates(br) is None]
+    return len(basis)
 
 
 def lie_report(
@@ -366,48 +290,27 @@ def lie_report(
     if table is None:
         table = decompose(space, t)
     graded = big_operators(space, t, table)
-    m = table.m
-    dims = [len(table.span(k, BASIC)) for k in range(m + 1)]
-    flats = {
-        name: _flatten(op.blocks, dims, op.degree_shift) for name, op in graded.items()
-    }
-    ops = [flats[name] for name in GENERATORS]
-    result = analyze_operator_span(ops)
+    span = analyze_operator_span([_sparse(graded[name]) for name in GENERATORS])
 
+    # [L_alpha, Lambda_alpha] = sign * H with one sign for every alpha.
     h_sign: int | None = None
-    uniform = False
-    if result["closed"]:
-        zeros_tail = tuple(Fraction(0) for _ in GENERATORS[1:])
-        signs = []
+    if span.bracket_coeffs is not None:
+        h = GENERATORS.index("H")
+        signs = set()
         for alpha in (1, 2, 3):
             i = GENERATORS.index(f"L{alpha}")
             j = GENERATORS.index(f"Lam{alpha}")
-            cc = result["coeffs"][(i, j)]
-            if cc == (Fraction(-1),) + zeros_tail:
-                signs.append(-1)
-            elif cc == (Fraction(1),) + zeros_tail:
-                signs.append(1)
-            else:
-                signs.append(0)
-        if signs[0] != 0 and all(s == signs[0] for s in signs):
-            h_sign = signs[0]
-            uniform = True
+            cc = span.bracket_coeffs[(i, j)]
+            signs.add(int(cc[h]) if cc.keys() == {h} and abs(cc[h]) == 1 else 0)
+        if len(signs) == 1 and 0 not in signs:
+            h_sign = signs.pop()
     return LieAlgebraReport(
+        **vars(span),
         generator_names=GENERATORS,
-        dims=tuple(dims),
-        generators=flats,
+        dims=tuple(len(table.span(k, BASIC)) for k in range(table.m + 1)),
         graded=graded,
-        independent=result["independent"],
-        closed=result["closed"],
-        span_dim=result["span_dim"],
-        bracket_coeffs=result["coeffs"],
-        killing=result["killing"],
-        killing_rank=result["killing_rank"],
-        signature=result["signature"],
         h_commutator_sign=h_sign,
-        h_commutator_uniform=uniform,
-        jacobi_ok=result["jacobi_ok"],
-        killing_invariance_ok=result["invariance_ok"],
+        h_commutator_uniform=h_sign is not None,
     )
 
 

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices as lists of lists of ``Fraction``, and sparse vectors as
-dicts from ordered keys to nonzero ``Fraction``s.  Everything here is
+Small dense matrices as lists of lists of ``Fraction``, sparse vectors as
+dicts from ordered keys to nonzero ``Fraction``s, and sparse matrices as
+sparse vectors keyed by (row, column) pairs.  Everything here is
 deterministic: pivots are chosen by position, never by magnitude, and kernel
 and row-space bases are reduced-echelon vectors taken in column order.
 """
@@ -9,10 +10,12 @@ and row-space bases are reduced-echelon vectors taken in column order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 SparseVector = dict  # key -> nonzero Fraction; keys are ordered columns
+SparseMatrix = dict  # (row, column) -> nonzero Fraction; a SparseVector
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -64,20 +67,8 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return [[c * x for x in row] for row in a]
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -149,6 +140,35 @@ def sparse_sum(terms) -> SparseVector:
     for key, x in terms:
         out[key] = out.get(key, 0) + x
     return {key: x for key, x in out.items() if x}
+
+
+def sparse_matrix(blocks: dict[int, Matrix], shift: int = 0) -> SparseMatrix:
+    """The sparse form of an operator given by dense blocks, one per degree.
+
+    Block k maps degree k to degree k + shift; its entry (i, j) gets the key
+    ((k + shift, i), (k, j)).  A plain square matrix is ``{0: matrix}``.
+    """
+    return {
+        ((k + shift, i), (k, j)): x
+        for k, block in blocks.items()
+        for i, row in enumerate(block)
+        for j, x in enumerate(row)
+        if x
+    }
+
+
+def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab - ba, summing products of nonzero entries only."""
+
+    def products(left, right, sign):
+        rows: dict = {}
+        for (r, c), y in right.items():
+            rows.setdefault(r, []).append((c, y))
+        for (r, k), x in left.items():
+            for c, y in rows.get(k, ()):
+                yield (r, c), sign * x * y
+
+    return sparse_sum(chain(products(a, b, 1), products(b, a, -1)))
 
 
 def sparse_rref(vectors) -> list[SparseVector]:

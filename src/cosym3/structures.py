@@ -22,10 +22,6 @@ EPSILON = {perm: 1 for perm in EVEN_PERMS}
 EPSILON.update({(a, c, b): -s for (a, b, c), s in list(EPSILON.items())})
 
 
-def epsilon(a: int, b: int, c: int) -> int:
-    return EPSILON.get((a, b, c), 0)
-
-
 class StructureError(ValueError):
     """Input does not form the claimed kind of structure."""
 

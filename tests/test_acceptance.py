@@ -136,9 +136,11 @@ def test_criterion_5_so41():
     start = time.perf_counter()
     oracle_sig, _ = oracles.so41_killing_signature()
     assert oracle_sig == (4, 6, 0)
-    reference = analyze_operator_span(oracles.so41_generators())
-    assert reference["span_dim"] == 10
-    assert reference["signature"] == oracle_sig
+    reference = analyze_operator_span(
+        [linalg.sparse_matrix({0: g}) for g in oracles.so41_generators()]
+    )
+    assert reference.span_dim == 10
+    assert reference.signature == oracle_sig
     for build in (flat_torus, None):
         space, t = flat_torus(1) if build else m7f()
         table = decompose(space, t)

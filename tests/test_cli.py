@@ -274,3 +274,42 @@ def test_report_written_to_output_path(tmp_path, capsys):
     assert out == ""
     report = json.loads(path.read_text())
     assert report["command"] == "check"
+
+
+@pytest.mark.parametrize(
+    "diagonal, code, err",
+    [
+        (
+            [2] * 7,
+            EXIT_USAGE,
+            "cosym3: error: det(g) is not a rational square; exact Hodge star unavailable\n",
+        ),
+        (
+            [-1] + [1] * 6,
+            EXIT_USAGE,
+            "cosym3: error: metric is degenerate or not positive definite\n",
+        ),
+        (
+            [4] + [1] * 6,
+            EXIT_USAGE,
+            "cosym3: error: fundamental form not antisymmetric at entry (1,2)\n",
+        ),
+        (
+            [4] * 7,
+            EXIT_VERDICT_FAIL,
+            "cosym3: model inconsistency: "
+            "L1 does not preserve the basic harmonic forms at degree 0\n",
+        ),
+    ],
+    ids=["det-not-square", "not-positive", "phi-not-antisymmetric", "l-leaves-basic"],
+)
+def test_liealg_incompatible_metric(tmp_path, capsys, diagonal, code, err):
+    # torus7 with its metric replaced by a constant diagonal one.
+    data = structure_file_dict(*flat_torus(1))
+    data["metric"] = [
+        [[{"c": str(diagonal[i]), "e": [0] * 7}] if i == j else [] for j in range(7)]
+        for i in range(7)
+    ]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "liealg", "--input", str(path)) == (code, "", err)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from cosym3.liealg import (
 from cosym3 import linalg
 
 import oracles
+import randgen
 
 
 def test_xi_form_values(torus7):
@@ -131,11 +133,20 @@ def test_signature_matches_reference_realization(torus7, torus7_table):
     space, t = torus7
     rep = lie_report(space, t, torus7_table)
     assert rep.signature == oracle_sig
-    # And our span analysis agrees with the oracle on the reference algebra.
-    res = analyze_operator_span(oracles.so41_generators())
-    assert res["closed"] and res["span_dim"] == 10
-    assert res["signature"] == oracle_sig
-    assert res["killing_rank"] == 10
+    # And our span analysis agrees with the oracle on the reference algebra,
+    # also after a seeded change of basis that makes every generator dense.
+    gens = oracles.so41_generators()
+    res = analyze_operator_span([linalg.sparse_matrix({0: g}) for g in gens])
+    assert res.closed and res.span_dim == 10
+    assert res.signature == oracle_sig
+    assert res.killing_rank == 10
+    p = randgen.unimodular(random.Random(5), 5, shears=20)
+    p_inv = linalg.inverse(p)
+    dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+    assert all(sum(1 for row in g for x in row if x) >= 23 for g in dense)
+    conj = analyze_operator_span([linalg.sparse_matrix({0: g}) for g in dense])
+    assert conj.bracket_coeffs == res.bracket_coeffs
+    assert conj.killing_rank == 10 and conj.signature == oracle_sig
 
 
 def test_adjointness_of_l_and_lambda(torus7, torus7_table, m7f_model, m7f_table):
@@ -166,11 +177,36 @@ def test_span_analysis_detects_non_closure():
     z, o = Fraction(0), Fraction(1)
     p = [[z, o], [z, z]]
     q = [[z, z], [o, z]]
-    res = analyze_operator_span([p, q])
-    assert res["independent"]
-    assert not res["closed"]
-    assert res["span_dim"] == 3
-    assert res["killing"] is None
+    res = analyze_operator_span([linalg.sparse_matrix({0: p}), linalg.sparse_matrix({0: q})])
+    assert res.independent
+    assert not res.closed
+    assert res.span_dim == 3
+    assert res.killing is None
+
+
+def test_span_analysis_graded_non_closure():
+    # E raises degree 0 to 1 and F lowers it back: [E, F] is diagonal, so
+    # the saturated span is sl(2) again.
+    one = [[Fraction(1)]]
+    e = linalg.sparse_matrix({0: one}, 1)
+    f = linalg.sparse_matrix({1: one}, -1)
+    res = analyze_operator_span([e, f])
+    assert res.independent
+    assert not res.closed
+    assert res.span_dim == 3
+    assert res.killing is None
+
+
+def test_span_analysis_keys_keep_target_degree():
+    # A keeps degree 0 and B maps it to degree 1 with the same block: they
+    # differ only in the target degree, and [A, B] = -B.
+    one = [[Fraction(1)]]
+    a = linalg.sparse_matrix({0: one}, 0)
+    b = linalg.sparse_matrix({0: one}, 1)
+    res = analyze_operator_span([a, b])
+    assert res.independent
+    assert res.closed and res.span_dim == 2
+    assert res.bracket_coeffs == {(0, 1): {1: Fraction(-1)}}
 
 
 def test_lie_report_on_deformed_structure(torus7):
