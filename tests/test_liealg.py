@@ -173,37 +173,28 @@ def test_degenerate_for_n_zero():
 
 def test_span_analysis_detects_non_closure():
     # {E12, E21} in gl(2) brackets into diag(1, -1): not closed, and the
-    # saturated span is the 3-dimensional sl(2).
+    # saturated span is the 3-dimensional sl(2).  The same holds for E
+    # raising degree 0 to 1 and F lowering it back, as graded operators.
     z, o = Fraction(0), Fraction(1)
     p = [[z, o], [z, z]]
     q = [[z, z], [o, z]]
-    res = analyze_operator_span([linalg.sparse_matrix({0: p}), linalg.sparse_matrix({0: q})])
-    assert res.independent
-    assert not res.closed
-    assert res.span_dim == 3
-    assert res.killing is None
-
-
-def test_span_analysis_graded_non_closure():
-    # E raises degree 0 to 1 and F lowers it back: [E, F] is diagonal, so
-    # the saturated span is sl(2) again.
-    one = [[Fraction(1)]]
-    e = linalg.sparse_matrix({0: one}, 1)
-    f = linalg.sparse_matrix({1: one}, -1)
-    res = analyze_operator_span([e, f])
-    assert res.independent
-    assert not res.closed
-    assert res.span_dim == 3
-    assert res.killing is None
+    plain = [linalg.sparse_matrix({0: p}), linalg.sparse_matrix({0: q})]
+    graded = [linalg.sparse_matrix({0: [[o]]}, 1), linalg.sparse_matrix({1: [[o]]}, -1)]
+    for ops in (plain, graded):
+        res = analyze_operator_span(ops)
+        assert res.independent
+        assert not res.closed
+        assert res.span_dim == 3
+        assert res.killing is None
 
 
 def test_span_analysis_keys_keep_target_degree():
     # A keeps degree 0 and B maps it to degree 1 with the same block: they
     # differ only in the target degree, and [A, B] = -B.
     one = [[Fraction(1)]]
-    a = linalg.sparse_matrix({0: one}, 0)
-    b = linalg.sparse_matrix({0: one}, 1)
-    res = analyze_operator_span([a, b])
+    res = analyze_operator_span(
+        [linalg.sparse_matrix({0: one}, 0), linalg.sparse_matrix({0: one}, 1)]
+    )
     assert res.independent
     assert res.closed and res.span_dim == 2
     assert res.bracket_coeffs == {(0, 1): {1: Fraction(-1)}}

@@ -157,3 +157,37 @@ def test_pivot_coordinates_match_solve_many():
     assert empty.coordinates({(0, 1): F(1)}) is None
     assert operator_matrix([{}, {}], empty) == []
     assert operator_matrix([{(0,): F(2)}], empty) is None
+
+
+def test_sparse_commutator_matches_dense_reference():
+    # Graded operators as sparse matrices against the same operators laid
+    # out as one dense matrix over all degrees.
+    rng = random.Random(63)
+    for trial in range(100):
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        offsets = [sum(dims[:k]) for k in range(len(dims))]
+        total = sum(dims)
+        keys = [(k, i) for k, d in enumerate(dims) for i in range(d)]
+        ops = []
+        for _ in range(2):
+            shift = rng.randint(-1, 1)
+            blocks = {
+                k: _random_rows(rng, dims[k + shift], dims[k], density=0.6)[: dims[k + shift]]
+                for k in range(len(dims))
+                if 0 <= k + shift < len(dims) and dims[k + shift] and dims[k]
+            }
+            big = [[F(0)] * total for _ in range(total)]
+            for k, block in blocks.items():
+                for i, row in enumerate(block):
+                    for j, x in enumerate(row):
+                        big[offsets[k + shift] + i][offsets[k] + j] = x
+            ops.append((linalg.sparse_matrix(blocks, shift), big))
+        (a, big_a), (b, big_b) = ops
+        ab, ba = linalg.mat_mul(big_a, big_b), linalg.mat_mul(big_b, big_a)
+        expected = {
+            (r, c): ab[i][j] - ba[i][j]
+            for i, r in enumerate(keys)
+            for j, c in enumerate(keys)
+            if ab[i][j] != ba[i][j]
+        }
+        assert linalg.sparse_commutator(a, b) == expected
