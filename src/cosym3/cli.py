@@ -84,6 +84,11 @@ def poly_to_json(p: Poly) -> list[dict]:
     ]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def poly_from_json(data, nvars: int) -> Poly:
     if not isinstance(data, list):
         raise StructureFileError("polynomial must be a list of terms")
@@ -92,11 +97,13 @@ def poly_from_json(data, nvars: int) -> Poly:
         if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
             raise StructureFileError("polynomial term must have 'c' and 'e'")
         expo = tuple(entry["e"])
-        if len(expo) != nvars or any(not isinstance(x, int) or x < 0 for x in expo):
+        if len(expo) != nvars or any(not _is_int(x) or x < 0 for x in expo):
             raise StructureFileError(f"bad exponent vector {entry['e']!r}")
+        if not isinstance(entry["c"], str):
+            raise StructureFileError(f"coefficient {entry['c']!r} must be a string 'p/q'")
         try:
             coeff = Fraction(entry["c"])
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise StructureFileError(f"bad coefficient {entry['c']!r}") from exc
         if expo in terms:
             raise StructureFileError(f"duplicate exponent vector {entry['e']!r}")
@@ -160,7 +167,7 @@ def parse_structure_file(
         raw_topo = data["topology"]
     except KeyError as exc:
         raise StructureFileError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise StructureFileError("dim must be a positive integer")
     if (
         not isinstance(coords, list)
@@ -193,7 +200,7 @@ def parse_structure_file(
     if kind == "mapping_torus":
         fiber_dim = raw_topo.get("fiber_dim")
         mono = raw_topo.get("monodromy")
-        if not isinstance(fiber_dim, int) or fiber_dim < 0 or fiber_dim != dim - 3:
+        if not _is_int(fiber_dim) or fiber_dim < 0 or fiber_dim != dim - 3:
             raise StructureFileError("mapping_torus needs fiber_dim = dim - 3")
         if (
             not isinstance(mono, list)
@@ -201,7 +208,7 @@ def parse_structure_file(
             or any(
                 not isinstance(row, list)
                 or len(row) != fiber_dim
-                or any(not isinstance(x, int) for x in row)
+                or any(not _is_int(x) for x in row)
                 for row in mono
             )
         ):

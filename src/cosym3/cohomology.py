@@ -23,8 +23,9 @@ from .exterior import (
     KForm,
     exterior_derivative,
     interior_product,
+    monomial_images,
     pullback,
-    sort_with_sign,
+    sparse_wedge,
 )
 from .models import DEFAULT_ORDER_BOUND, ModelSpace
 from .structures import CheckItem, CheckReport, EVEN_PERMS, ThreeStructure
@@ -60,11 +61,6 @@ def form_vector(omega: KForm) -> linalg.SparseVector:
     if not omega.is_constant():
         raise ValueError("only constant forms can be coordinatized")
     return {key: p.constant_value() for key, p in omega.terms.items()}
-
-
-def _wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
-    terms = ((sort_with_sign(ka + kb), x * y) for ka, x in a.items() for kb, y in b.items())
-    return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
 
 
 def _contract(xi: dict[int, Fraction], v: linalg.SparseVector) -> linalg.SparseVector:
@@ -103,8 +99,8 @@ def operator_matrix(
 def pullback_matrix(a: EndField, q: int) -> linalg.Matrix:
     """Dense matrix of the slotwise pullback a* on constant q-forms."""
     tuples = monomial_tuples(a.m, q)
-    cols = [form_vector(pullback(a, KForm.monomial(a.m, t))) for t in tuples]
-    return [[col.get(s, Fraction(0)) for col in cols] for s in tuples]
+    images = monomial_images(a.to_fractions(), tuples)
+    return [[images[t].get(s, Fraction(0)) for t in tuples] for s in tuples]
 
 
 def invariant_forms(
@@ -123,13 +119,7 @@ def invariant_forms(
     order = linalg.matrix_order(mat, order_bound)
     if order is None:
         raise CohomologyError(f"monodromy not finite order within bound {order_bound}")
-    # a* dx_I is the wedge of the pulled-back differentials a* dx_i = row i.
-    rows = [{(j,): x for j, x in enumerate(row) if x} for row in mat]
-    images = {}
-    for t in monomial_tuples(a.m, q):
-        images[t] = {(): ONE}
-        for i in t:
-            images[t] = _wedge(images[t], rows[i])
+    images = monomial_images(mat, monomial_tuples(a.m, q))
     columns = []
     for t in images:
         orbit = [{t: Fraction(1, order)}]
@@ -192,7 +182,7 @@ def harmonic_space(
             bound = topo.order or DEFAULT_ORDER_BOUND
             fibers[q] = invariant_forms(topo.monodromy, q, order_bound=bound)
         for t_set in combinations(range(d, d + 3), p):
-            forms.extend(_wedge({t_set: ONE}, w) for w in fibers[q])
+            forms.extend(sparse_wedge({t_set: ONE}, w) for w in fibers[q])
     return linalg.sparse_rref(forms)
 
 
@@ -262,11 +252,11 @@ def small_operators(
         for k in range(m + 1):
             vectors = bases[k].vectors
             if k < m:
-                l_blocks[k] = _block([_wedge(eta, v) for v in vectors], bases[k + 1], f"l{alpha}", k)
+                l_blocks[k] = _block([sparse_wedge(eta, v) for v in vectors], bases[k + 1], f"l{alpha}", k)
             contracted = [_contract(xi, v) for v in vectors]
             if k > 0:
                 lam_blocks[k] = _block(contracted, bases[k - 1], f"lambda{alpha}", k)
-            e_blocks[k] = _block([_wedge(eta, c) for c in contracted], bases[k], f"e{alpha}", k)
+            e_blocks[k] = _block([sparse_wedge(eta, c) for c in contracted], bases[k], f"e{alpha}", k)
         ops[f"l{alpha}"] = GradedOperatorMatrix(f"l{alpha}", 1, l_blocks)
         ops[f"lambda{alpha}"] = GradedOperatorMatrix(f"lambda{alpha}", -1, lam_blocks)
         ops[f"e{alpha}"] = GradedOperatorMatrix(f"e{alpha}", 0, e_blocks)
@@ -317,7 +307,7 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
 
     def e_op(alpha: int, v: linalg.SparseVector) -> linalg.SparseVector:
         eta, xi = eta_xi[alpha]
-        return _wedge(eta, _contract(xi, v))
+        return sparse_wedge(eta, _contract(xi, v))
 
     spans: dict[tuple[int, tuple[int, int, int]], linalg.EchelonBasis] = {}
     for k, basis in enumerate(bases):
@@ -406,7 +396,7 @@ def verify_ladder(
                 if len(src) != len(dst):
                     items.append(CheckItem(name, False, f"dims {len(src)} -> {len(dst)}"))
                     continue
-                columns = [dst.coordinates(_wedge(eta, v)) for v in src.vectors]
+                columns = [dst.coordinates(sparse_wedge(eta, v)) for v in src.vectors]
                 if None in columns:
                     items.append(CheckItem(name, False, "image leaves the target component"))
                 else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -379,11 +378,11 @@ class EndField:
         return hash((self.m, self.entries))
 
     def __repr__(self):
-        return f"EndField(m={self.m})"
+        return f"{type(self).__name__}(m={self.m})"
 
 
-class Metric:
-    """Symmetric 2-tensor with Poly entries.
+class Metric(EndField):
+    """Symmetric endomorphism field read as a 2-tensor.
 
     Symmetry is enforced at construction.  Positive definiteness is a
     semantic property checked by the structure verifier (leading principal
@@ -391,45 +390,15 @@ class Metric:
     deliberately broken inputs can still be represented and diagnosed.
     """
 
-    __slots__ = ("m", "entries")
+    __slots__ = ()
 
     def __init__(self, entries: Sequence[Sequence]):
-        m = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != m:
-                raise ValueError("metric matrix must be square")
-            rows.append(
-                tuple(c if isinstance(c, Poly) else as_poly(c, m) for c in row)
-            )
-        for i in range(m):
-            for j in range(i + 1, m):
+        super().__init__(entries)
+        rows = self.entries
+        for i in range(self.m):
+            for j in range(i + 1, self.m):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"metric not symmetric at entry ({i}, {j})")
-        self.m = m
-        self.entries = tuple(rows)
-
-    @classmethod
-    def identity(cls, m: int) -> "Metric":
-        return cls([[1 if i == j else 0 for j in range(m)] for i in range(m)])
-
-    @classmethod
-    def from_fractions(cls, mat: Sequence[Sequence]) -> "Metric":
-        m = len(mat)
-        return cls([[Poly.const(m, as_fraction(x)) for x in row] for row in mat])
-
-    @classmethod
-    def block_diag(cls, *blocks: "Metric") -> "Metric":
-        ends = [EndField(b.entries) for b in blocks]
-        return cls(EndField.block_diag(*ends).entries)
-
-    def is_constant(self) -> bool:
-        return all(c.is_constant() for row in self.entries for c in row)
-
-    def to_fractions(self) -> linalg.Matrix:
-        if not self.is_constant():
-            raise ValueError("metric is not constant")
-        return [[c.constant_value() for c in row] for row in self.entries]
 
     def evaluate(self, point: Sequence) -> linalg.Matrix:
         return [[c.evaluate(point) for c in row] for row in self.entries]
@@ -440,17 +409,6 @@ class Metric:
     def is_positive_definite(self) -> bool:
         """Leading-principal-minor test; constant metrics only."""
         return _leading_minors_positive(self.to_fractions())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Metric):
-            return NotImplemented
-        return self.m == other.m and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.m, self.entries))
-
-    def __repr__(self):
-        return f"Metric(m={self.m})"
 
 
 def _leading_minors_positive(mat: linalg.Matrix) -> bool:
@@ -561,6 +519,41 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(comps)
 
 
+# -- constant forms as sparse vectors -----------------------------------------
+
+
+def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
+    """Wedge of constant forms kept as dicts from index tuples to Fractions."""
+    terms = ((sort_with_sign(ka + kb), x * y) for ka, x in a.items() for kb, y in b.items())
+    return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
+
+
+def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.SparseVector]:
+    """A* dx_I for each monomial I, as the wedge of the row images A* dx_i.
+
+    Row i of ``mat`` is A* dx_i, so the coefficient of A* dx_I at dx_J is the
+    minor det(A[I, J]).
+    """
+    rows = [{(j,): x for j, x in enumerate(row) if x} for row in mat]
+    images = {}
+    for key in monomials:
+        image = {(): Fraction(1)}
+        for i in key:
+            image = sparse_wedge(image, rows[i])
+        images[key] = image
+    return images
+
+
+def _pulled_back(mat: linalg.Matrix, omega: KForm) -> linalg.SparseVector:
+    """A* omega for a constant form, as a sparse vector."""
+    images = monomial_images(mat, omega.terms)
+    return linalg.sparse_sum(
+        (key, p.constant_value() * x)
+        for monomial, p in omega.terms.items()
+        for key, x in images[monomial].items()
+    )
+
+
 def pullback(a: EndField, omega: KForm) -> KForm:
     """Slotwise pullback (A* w)(v1..vk) = w(A v1, .., A vk); constant data only.
 
@@ -572,24 +565,7 @@ def pullback(a: EndField, omega: KForm) -> KForm:
         raise ValueError("pullback requires a constant endomorphism field")
     if not omega.is_constant():
         raise ValueError("pullback requires constant coefficients")
-    m = a.m
-    k = omega.degree
-    if k == 0:
-        return omega
-    mat = a.to_fractions()
-    terms: dict[IndexTuple, Fraction] = {}
-    for key, p in omega.terms.items():
-        c = p.constant_value()
-        rows = [mat[i] for i in key]
-        for target in combinations(range(m), k):
-            sub = [[row[j] for j in target] for row in rows]
-            if any(not any(r) for r in sub):
-                continue
-            d = linalg.det(sub)
-            if not d:
-                continue
-            terms[target] = terms.get(target, Fraction(0)) + c * d
-    return KForm(m, k, {key: v for key, v in terms.items() if v})
+    return KForm(a.m, omega.degree, _pulled_back(a.to_fractions(), omega))
 
 
 def complement_sign(indices: IndexTuple, m: int) -> tuple[IndexTuple, int]:
@@ -646,42 +622,27 @@ class HodgeOperator:
             _, sign = sort_with_sign(perm)
             self.orientation_sign = sign
 
-    def gram(self, left: IndexTuple, right: IndexTuple) -> Fraction:
-        """<dx_left, dx_right> via the Gram determinant of the inverse metric."""
-        if len(left) != len(right):
-            raise ValueError("gram of unequal degrees")
-        if not left:
-            return Fraction(1)
-        rows = [[self.inverse[i][j] for j in right] for i in left]
-        if any(not any(r) for r in rows):
-            return Fraction(0)
-        cols = range(len(right))
-        if any(not any(row[c] for row in rows) for c in cols):
-            return Fraction(0)
-        return linalg.det(rows)
-
     def volume(self) -> KForm:
         return KForm.monomial(
             self.m, tuple(range(self.m)), self.sqrt_det * self.orientation_sign
         )
 
     def __call__(self, omega: KForm) -> KForm:
+        """Raise omega once by G^-1, then send each dx_J to its signed complement.
+
+        G^-1 is symmetric, so the coefficient det(G^-1[I, J]) of its pullback
+        is the Gram determinant <dx_J, dx_I>.
+        """
         if omega.m != self.m:
             raise ValueError("dimension mismatch")
         if not omega.is_constant():
             raise ValueError("Hodge star requires constant coefficients")
-        k = omega.degree
-        terms: dict[IndexTuple, Fraction] = {}
-        for key, p in omega.terms.items():
-            c = p.constant_value()
-            for other in combinations(range(self.m), k):
-                inner = self.gram(other, key)
-                if not inner:
-                    continue
-                comp, sign = complement_sign(other, self.m)
-                coeff = c * inner * self.sqrt_det * sign * self.orientation_sign
-                terms[comp] = terms.get(comp, Fraction(0)) + coeff
-        return KForm(self.m, self.m - k, {key: v for key, v in terms.items() if v})
+        scale = self.sqrt_det * self.orientation_sign
+        terms = {}
+        for key, c in _pulled_back(self.inverse, omega).items():
+            comp, sign = complement_sign(key, self.m)
+            terms[comp] = c * scale * sign
+        return KForm(self.m, self.m - omega.degree, terms)
 
 
 def hodge_star(g: Metric, omega: KForm, orientation: Sequence[int] | None = None) -> KForm:
@@ -692,14 +653,11 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> Fraction:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
-    op = HodgeOperator(g)
-    total = Fraction(0)
-    for ka, pa in alpha.terms.items():
-        for kb, pb in beta.terms.items():
-            gr = op.gram(ka, kb)
-            if gr:
-                total += pa.constant_value() * pb.constant_value() * gr
-    return total
+    raised = _pulled_back(HodgeOperator(g).inverse, alpha)
+    return sum(
+        (x * beta.terms[key].constant_value() for key, x in raised.items() if key in beta.terms),
+        Fraction(0),
+    )
 
 
 def volume_form(g: Metric, orientation: Sequence[int] | None = None) -> KForm:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import EndField, KForm, Metric, VectorField
+from .exterior import EndField, KForm, Metric, VectorField, pullback
 from .structures import (
     AlmostContactMetricStructure,
     CheckItem,
@@ -26,6 +26,7 @@ from .structures import (
     EPSILON,
     StructureError,
     ThreeStructure,
+    fundamental_form,
 )
 
 DEFAULT_ORDER_BOUND = 60
@@ -146,8 +147,7 @@ class HyperKahlerData:
                 raise ModelError("complex structure dimension mismatch")
             if j * j != -ident:
                 raise ModelError(f"J{idx}^2 != -I")
-            g_end = EndField(self.metric.entries)
-            if j.transpose() * g_end * j != g_end:
+            if j.transpose() * self.metric * j != self.metric:
                 raise ModelError(f"J{idx} is not a g-isometry")
         if self.j_ops[0] * self.j_ops[1] != self.j_ops[2]:
             raise ModelError("J1 J2 != J3")
@@ -219,8 +219,7 @@ def check_hyper_kahler_isometry(
             None if unimodular else f"det = {d_det}",
         )
     )
-    g_end = EndField(data.metric.entries)
-    isometry = f.transpose() * g_end * f == g_end
+    isometry = f.transpose() * data.metric * f == data.metric
     items.append(
         CheckItem("monodromy_isometry", isometry, None if isometry else "f^T G f != G")
     )
@@ -322,16 +321,12 @@ def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
     conjugation fixes every phi_alpha; the Reeb fields are fixed vectors.
     This is what lets the product structure descend to the quotient.
     """
-    from .exterior import pullback
-    from .structures import fundamental_form
-
     topo = space.topology
     if topo.kind != "mapping_torus" or topo.monodromy is None:
         raise ModelError("monodromy invariance applies to mapping_torus models only")
     deck = EndField.block_diag(topo.monodromy, EndField.identity(3))
     items = []
-    g_end = EndField(t.g.entries)
-    ok = deck.transpose() * g_end * deck == g_end
+    ok = deck.transpose() * t.g * deck == t.g
     items.append(
         CheckItem("monodromy_fixes_metric", ok, None if ok else "F^T g F != g")
     )

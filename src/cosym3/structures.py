@@ -181,7 +181,7 @@ def fundamental_form(s: AlmostContactMetricStructure) -> KForm:
     Antisymmetry of g.phi is a consequence of metric compatibility, so a
     failure means the input is not almost contact metric and raises.
     """
-    b = (EndField(s.g.entries) * s.phi).entries
+    b = (s.g * s.phi).entries
     m = s.m
     for i in range(m):
         for j in range(i, m):
@@ -242,7 +242,7 @@ def check_compatible(s: AlmostContactMetricStructure, label: str = "") -> CheckR
     """Metric compatibility g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y)."""
     m = s.m
     eta = s.eta_components()
-    lhs = s.phi.transpose() * EndField(s.g.entries) * s.phi
+    lhs = s.phi.transpose() * s.g * s.phi
     rhs_entries = [
         [s.g.entries[i][j] - eta[i] * eta[j] for j in range(m)] for i in range(m)
     ]
@@ -429,7 +429,7 @@ def check_three_cosymplectic(
                 nij.witness("n_one"),
             )
         )
-        vec = EndField(t.g.entries).apply(s.xi) - VectorField(s.eta_components())
+        vec = t.g.apply(s.xi) - VectorField(s.eta_components())
         witness = _first_component_witness(vec.components, "g(xi) - eta")
         items.append(CheckItem(f"reeb_metric_dual{label}", witness is None, witness))
     items.extend(check_quaternionic(t))

@@ -1,14 +1,17 @@
 """Independent oracles used by the tests.
 
 Nothing here calls the package's own higher-level machinery: quaternion
-arithmetic is expanded from the defining relations, and the so(4,1)
+arithmetic is expanded from the defining relations, the so(4,1)
 reference realization gets its structure constants, Killing form, and
-signature from a separate small implementation.
+signature from a separate small implementation, and constant forms are
+pulled back and starred by one determinant per pair of index tuples.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 # Quaternions as coefficient 4-tuples over the basis (1, i, j, k), with the
 # products expanded from i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
@@ -204,3 +207,92 @@ def so41_killing_signature():
     consts = structure_constants(so41_generators())
     kill = killing_matrix(consts)
     return symmetric_signature(kill), kill
+
+
+# -- constant forms by minor and Gram determinants ----------------------------
+#
+# A constant k-form is a dict from increasing index tuples to Fractions.
+
+
+def det(mat):
+    """Determinant by exact Gaussian elimination; 1 for the empty matrix."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    out = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return out
+
+
+def minor_pullback(mat, form):
+    """A* of a constant form: dx_I goes to the sum over J of det(A[I, J]) dx_J."""
+    out = {}
+    for key, c in form.items():
+        for target in combinations(range(len(mat)), len(key)):
+            d = det([[mat[i][j] for j in target] for i in key])
+            out[target] = out.get(target, Fraction(0)) + c * d
+    return {key: x for key, x in out.items() if x}
+
+
+def _inverse(mat):
+    """Gauss-Jordan elimination of [mat | I]; mat must be invertible."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _gram(inv, left, right):
+    return det([[inv[i][j] for j in right] for i in left])
+
+
+def gram_inner(g, alpha, beta):
+    """<alpha, beta> with <dx_I, dx_J> = det(G^-1[I, J])."""
+    inv = _inverse(g)
+    return sum(
+        (a * b * _gram(inv, ka, kb) for ka, a in alpha.items() for kb, b in beta.items()),
+        Fraction(0),
+    )
+
+
+def perm_sign(seq):
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def gram_star(g, form, orientation=None):
+    """*form from alpha ^ *beta = <alpha, beta> vol, one Gram determinant per pair.
+
+    *dx_I = sqrt(det g) sum_J <dx_J, dx_I> sign(J, J^c) dx_{J^c}, with the
+    volume form's sign flipped for an odd orientation permutation.
+    """
+    m = len(g)
+    d = det(g)
+    root = Fraction(math.isqrt(d.numerator), math.isqrt(d.denominator))
+    assert root * root == d, "det(g) is not a rational square"
+    if orientation is not None:
+        root *= perm_sign(orientation)
+    inv = _inverse(g)
+    out = {}
+    for key, c in form.items():
+        for other in combinations(range(m), len(key)):
+            comp = tuple(i for i in range(m) if i not in other)
+            inner = _gram(inv, other, key)
+            out[comp] = out.get(comp, Fraction(0)) + c * inner * root * perm_sign(other + comp)
+    return {key: x for key, x in out.items() if x}

@@ -12,6 +12,7 @@ from cosym3.cli import (
     parse_structure_file,
     structure_file_dict,
 )
+from cosym3.models import builtin
 
 
 def run(capsys, *argv):
@@ -313,3 +314,37 @@ def test_liealg_incompatible_metric(tmp_path, capsys, diagonal, code, err):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(data))
     assert run(capsys, "liealg", "--input", str(path)) == (code, "", err)
+
+
+
+@pytest.mark.parametrize(
+    "name, path, value, err",
+    [
+        ("standard7", ("metric", 0, 0, 0, "c"), 0.1, "coefficient 0.1 must be a string 'p/q'"),
+        ("standard7", ("metric", 0, 0, 0, "c"), True, "coefficient True must be a string 'p/q'"),
+        ("standard7", ("metric", 0, 0, 0, "e", 0), False, "bad exponent vector [False, 0,"),
+        ("standard7", ("dim",), True, "dim must be a positive integer"),
+        (
+            "torus3",
+            ("topology",),
+            {"type": "mapping_torus", "fiber_dim": False, "monodromy": []},
+            "mapping_torus needs fiber_dim = dim - 3",
+        ),
+        ("m7f", ("topology", "monodromy", 1, 0), True, "monodromy must be an integer fiber_dim matrix"),
+    ],
+    ids=["float-coefficient", "bool-coefficient", "bool-exponent", "bool-dim",
+         "bool-fiber-dim", "bool-monodromy-entry"],
+)
+def test_structure_file_rejects_floats_and_booleans(tmp_path, capsys, name, path, value, err):
+    # Each edit is accepted at face value unless floats and booleans are told
+    # apart from JSON strings and integers.
+    data = structure_file_dict(*builtin(name))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    code, out, stderr = run(capsys, "check", "--input", str(model))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert stderr.startswith(f"cosym3: error: {err}")

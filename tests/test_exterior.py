@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from cosym3 import (
     volume_form,
     wedge,
 )
+from cosym3.cohomology import pullback_matrix
 from cosym3.poly import Poly
 
 import oracles
@@ -198,6 +201,51 @@ def test_hodge_defining_equation():
         lhs = wedge(a, star(b))
         rhs = star.volume().scaled(form_inner_product(g, a, b))
         assert lhs == rhs
+
+
+def _square_det_metric(rng, m):
+    """Dense G = L D L^T: L unit lower triangular, D a diagonal of rational squares."""
+    lower = [
+        [Fraction(rng.choice((-2, -1, 1, 2))) if j < i else Fraction(int(i == j)) for j in range(m)]
+        for i in range(m)
+    ]
+    diag = [randgen.fraction(rng, False) ** 2 for _ in range(m)]
+    return [
+        [sum(lower[i][k] * diag[k] * lower[j][k] for k in range(m)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_constant_forms_match_determinant_oracles(m):
+    # pullback, pullback_matrix, the star in both orientations and the inner
+    # product against one minor or Gram determinant per pair of index tuples.
+    rng = random.Random(900 + m)
+    mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
+    a = EndField.from_fractions(mat)
+    g_mat = _square_det_metric(rng, m)
+    g = Metric.from_fractions(g_mat)
+    odd = list(range(m))
+    rng.shuffle(odd)
+    if oracles.perm_sign(odd) > 0:
+        odd[0], odd[1] = odd[1], odd[0]
+    for k in range(m + 1):
+        tuples = list(combinations(range(m), k))
+        images = {t: oracles.minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
+        assert pullback_matrix(a, k) == [[images[t].get(s, 0) for t in tuples] for s in tuples]
+        alpha, beta = (
+            {t: randgen.fraction(rng, False) for t in rng.sample(tuples, min(4, len(tuples)))}
+            for _ in range(2)
+        )
+        form = KForm(m, k, alpha)
+        assert pullback(a, form) == KForm(m, k, oracles.minor_pullback(mat, alpha))
+        assert hodge_star(g, form) == KForm(m, m - k, oracles.gram_star(g_mat, alpha))
+        assert hodge_star(g, form, orientation=odd) == KForm(
+            m, m - k, oracles.gram_star(g_mat, alpha, odd)
+        )
+        assert form_inner_product(g, form, KForm(m, k, beta)) == oracles.gram_inner(
+            g_mat, alpha, beta
+        )
 
 
 def test_metric_validation():
