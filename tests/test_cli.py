@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from cosym3 import AlmostContactMetricStructure, KForm, ThreeStructure, flat_torus, m7f
+from cosym3 import (
+    AlmostContactMetricStructure,
+    KForm,
+    ThreeStructure,
+    VectorField,
+    flat_torus,
+    m7f,
+)
 from cosym3.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -151,6 +158,29 @@ def test_betti_doubled_xi_is_not_idempotent(tmp_path, capsys):
     )
     err = _inconsistent_betti(tmp_path, capsys, space, broken)
     assert err == "cosym3: model inconsistency: e1 is not idempotent on degree 1\n"
+
+
+def test_noncommuting_e_is_a_model_inconsistency(tmp_path, capsys):
+    # xi_1 = d/dt1 + d/dt2 on torus7: every e_alpha is idempotent, but e1 and
+    # e2 fail to commute on the 1-forms.
+    space, t = flat_torus(1)
+    s1 = t.structure(1)
+    xi = s1.xi + VectorField.coordinate(7, 5)
+    broken = ThreeStructure(
+        [
+            AlmostContactMetricStructure(s1.phi, xi, s1.eta, s1.g),
+            t.structure(2),
+            t.structure(3),
+        ]
+    )
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(structure_file_dict(space, broken)))
+    for command in ("betti", "liealg"):
+        assert run(capsys, command, "--input", str(path)) == (
+            EXIT_VERDICT_FAIL,
+            "",
+            "cosym3: model inconsistency: e1 and e2 do not commute on degree 1\n",
+        )
 
 
 def test_betti_eta_off_invariant_forms_leaves_harmonic_space(tmp_path, capsys):
