@@ -96,7 +96,7 @@ def poly_from_json(data, nvars: int) -> Poly:
     for entry in data:
         if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
             raise StructureFileError("polynomial term must have 'c' and 'e'")
-        expo = tuple(entry["e"])
+        expo = tuple(entry["e"]) if isinstance(entry["e"], list) else ()
         if len(expo) != nvars or any(not _is_int(x) or x < 0 for x in expo):
             raise StructureFileError(f"bad exponent vector {entry['e']!r}")
         if not isinstance(entry["c"], str):
@@ -172,8 +172,8 @@ def parse_structure_file(
     if (
         not isinstance(coords, list)
         or len(coords) != dim
-        or len(set(coords)) != dim
         or not all(isinstance(c, str) for c in coords)
+        or len(set(coords)) != dim
     ):
         raise StructureFileError("coordinates must be dim distinct names")
     if not isinstance(raw_structures, list) or len(raw_structures) != 3:

@@ -4,10 +4,10 @@ On a compact flat quotient with finite-order linear monodromy the harmonic
 forms are exactly the constant monodromy-invariant forms, so every space here
 is computed by exact rational linear algebra on sparse vectors: a constant
 k-form is a dict from increasing index tuples to nonzero Fractions.
-Invariant subspaces come from averaging projectors, eigenspace splits from
-the images of the commuting idempotents e_alpha and 1 - e_alpha, and every
-space is kept as its reduced echelon basis over the lexicographically
-ordered monomial forms, so operator coordinates are read off its pivots.
+Invariant subspaces come from averaging projectors.  Each space is kept as
+its reduced echelon basis over the ordered monomial forms and each operator
+as one sparse matrix per degree of the coordinates read off its pivots; the
+eightfold split is computed on the e_alpha matrices and mapped back to forms.
 """
 
 from __future__ import annotations
@@ -81,16 +81,20 @@ def _eta_xi(t: ThreeStructure, alpha: int):
 
 def operator_matrix(
     images: list[linalg.SparseVector], dst: linalg.EchelonBasis
-) -> linalg.Matrix | None:
-    """Matrix of an operator in given bases, or None if an image leaves the span."""
-    rows = [[Fraction(0)] * len(images) for _ in range(len(dst))]
-    for j, image in enumerate(images):
-        coords = dst.coordinates(image)
-        if coords is None:
-            return None
-        for i, c in coords.items():
-            rows[i][j] = c
-    return rows
+) -> linalg.SparseMatrix | None:
+    """Sparse matrix of an operator in given bases, or None if an image leaves the span."""
+    columns = [dst.coordinates(image) for image in images]
+    if None in columns:
+        return None
+    return {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
+
+
+def operator_block(images, dst, op: str, k: int, forms: str = "harmonic forms") -> linalg.SparseMatrix:
+    """``operator_matrix``, raising when ``op`` maps a degree-k form off ``dst``."""
+    mat = operator_matrix(images, dst)
+    if mat is None:
+        raise CohomologyError(f"{op} does not preserve {forms} at degree {k}")
+    return mat
 
 
 # -- invariant forms under a finite-order monodromy ---------------------------
@@ -211,22 +215,34 @@ def is_basic(space: ModelSpace, t: ThreeStructure, omega: KForm) -> bool:
 
 @dataclass(frozen=True)
 class GradedOperatorMatrix:
-    """Per-degree matrices of a degree-shifting operator in canonical bases."""
+    """A degree-shifting operator as one sparse matrix per source degree.
+
+    Block k, keyed (row, col), maps the canonical degree-k basis to the
+    degree-(k + degree_shift) one; ``dims`` holds every basis dimension."""
 
     name: str
     degree_shift: int
-    blocks: dict[int, linalg.Matrix]
+    sparse_blocks: dict[int, linalg.SparseMatrix]
+    dims: tuple[int, ...]
+
+    @property
+    def entries(self) -> linalg.SparseMatrix:
+        """All blocks as one sparse matrix keyed ((degree, row), (degree, col))."""
+        s = self.degree_shift
+        return {((k + s, i), (k, j)): x for k, b in self.sparse_blocks.items() for (i, j), x in b.items()}
+
+    @property
+    def blocks(self) -> dict[int, linalg.Matrix]:
+        """Every block as dense row lists, built on demand."""
+        return {k: self.block(k) for k in self.sparse_blocks}
 
     def block(self, k: int) -> linalg.Matrix:
-        return self.blocks.get(k, [])
-
-
-def _block(images, dst: linalg.EchelonBasis, op: str, k: int) -> linalg.Matrix:
-    """``operator_matrix``, raising when ``op`` maps a degree-k form off ``dst``."""
-    mat = operator_matrix(images, dst)
-    if mat is None:
-        raise CohomologyError(f"{op} does not preserve harmonic forms at degree {k}")
-    return mat
+        if k not in self.sparse_blocks:
+            return []
+        rows = [[Fraction(0)] * self.dims[k] for _ in range(self.dims[k + self.degree_shift])]
+        for (i, j), x in self.sparse_blocks[k].items():
+            rows[i][j] = x
+        return rows
 
 
 def small_operators(
@@ -243,23 +259,26 @@ def small_operators(
     m = space.chart_dim
     if bases is None:
         bases = _harmonic_bases(space, t)
+    dims = tuple(len(basis) for basis in bases)
     ops: dict[str, GradedOperatorMatrix] = {}
     for alpha in (1, 2, 3):
         eta, xi = _eta_xi(t, alpha)
-        l_blocks: dict[int, linalg.Matrix] = {}
-        lam_blocks: dict[int, linalg.Matrix] = {}
-        e_blocks: dict[int, linalg.Matrix] = {}
+        l_blocks: dict[int, linalg.SparseMatrix] = {}
+        lam_blocks: dict[int, linalg.SparseMatrix] = {}
+        e_blocks: dict[int, linalg.SparseMatrix] = {}
         for k in range(m + 1):
             vectors = bases[k].vectors
             if k < m:
-                l_blocks[k] = _block([sparse_wedge(eta, v) for v in vectors], bases[k + 1], f"l{alpha}", k)
+                images = [sparse_wedge(eta, v) for v in vectors]
+                l_blocks[k] = operator_block(images, bases[k + 1], f"l{alpha}", k)
             contracted = [_contract(xi, v) for v in vectors]
             if k > 0:
-                lam_blocks[k] = _block(contracted, bases[k - 1], f"lambda{alpha}", k)
-            e_blocks[k] = _block([sparse_wedge(eta, c) for c in contracted], bases[k], f"e{alpha}", k)
-        ops[f"l{alpha}"] = GradedOperatorMatrix(f"l{alpha}", 1, l_blocks)
-        ops[f"lambda{alpha}"] = GradedOperatorMatrix(f"lambda{alpha}", -1, lam_blocks)
-        ops[f"e{alpha}"] = GradedOperatorMatrix(f"e{alpha}", 0, e_blocks)
+                lam_blocks[k] = operator_block(contracted, bases[k - 1], f"lambda{alpha}", k)
+            images = [sparse_wedge(eta, c) for c in contracted]
+            e_blocks[k] = operator_block(images, bases[k], f"e{alpha}", k)
+        ops[f"l{alpha}"] = GradedOperatorMatrix(f"l{alpha}", 1, l_blocks, dims)
+        ops[f"lambda{alpha}"] = GradedOperatorMatrix(f"lambda{alpha}", -1, lam_blocks, dims)
+        ops[f"e{alpha}"] = GradedOperatorMatrix(f"e{alpha}", 0, e_blocks, dims)
     return ops
 
 
@@ -300,43 +319,35 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     m = space.chart_dim
     bases = _harmonic_bases(space, t)
     b = tuple(len(basis) for basis in bases)
-    # Raises unless l, lambda and e preserve the harmonic forms; the split
-    # below applies e_alpha to the forms themselves.
-    small_operators(space, t, bases)
-    eta_xi = [_eta_xi(t, alpha) for alpha in (1, 2, 3)]
-
-    def e_op(alpha: int, v: linalg.SparseVector) -> linalg.SparseVector:
-        eta, xi = eta_xi[alpha]
-        return sparse_wedge(eta, _contract(xi, v))
-
+    # Raises unless l, lambda and e preserve the harmonic forms.
+    ops = small_operators(space, t, bases)
     spans: dict[tuple[int, tuple[int, int, int]], linalg.EchelonBasis] = {}
     for k, basis in enumerate(bases):
-        images = [[e_op(alpha, v) for v in basis.vectors] for alpha in range(3)]
+        e = [ops[f"e{alpha}"].sparse_blocks[k] for alpha in (1, 2, 3)]
         for alpha in range(3):
-            if any(e_op(alpha, w) != w for w in images[alpha]):
+            if linalg.sparse_product(e[alpha], e[alpha]) != e[alpha]:
                 raise CohomologyError(f"e{alpha + 1} is not idempotent on degree {k}")
             for beta in range(alpha + 1, 3):
-                pairs = zip(images[beta], images[alpha])
-                if any(e_op(alpha, u) != e_op(beta, w) for u, w in pairs):
-                    raise CohomologyError(
-                        f"e{alpha + 1} and e{beta + 1} do not commute on degree {k}"
-                    )
-        # The component eps is the image of prod_alpha (eps_alpha e_alpha +
-        # (1 - eps_alpha)(1 - e_alpha)).  The e_alpha commute, so it is built
-        # one factor at a time from the images of the previous factors.
-        parts: dict[tuple[int, ...], list[linalg.SparseVector]] = {(): list(basis.vectors)}
+                if linalg.sparse_commutator(e[alpha], e[beta]):
+                    raise CohomologyError(f"e{alpha + 1} and e{beta + 1} do not commute on degree {k}")
+        # The component eps is the image of the projector prod_alpha
+        # (eps_alpha e_alpha + (1 - eps_alpha)(1 - e_alpha)), built one factor
+        # at a time in coordinates over the harmonic basis.
+        parts = {(): {(i, i): ONE for i in range(b[k])}}
         for alpha in range(3):
             split = {}
             for eps, part in parts.items():
-                on = images[0] if alpha == 0 else [e_op(alpha, v) for v in part]
-                split[eps + (1,)] = linalg.sparse_rref(on)
-                split[eps + (0,)] = linalg.sparse_rref(
-                    linalg.sparse_sum([*v.items(), *((key, -x) for key, x in w.items())])
-                    for v, w in zip(part, on)
-                )
+                split[eps + (1,)] = on = linalg.sparse_product(e[alpha], part)
+                split[eps + (0,)] = linalg.sparse_sum([*part.items(), *((rc, -x) for rc, x in on.items())])
             parts = split
+        # Every basis vector is 1 at its own pivot and 0 at the others, so the
+        # reduced echelon coordinates give the reduced echelon forms.
         for eps in EPS_ORDER:
-            spans[(k, eps)] = linalg.EchelonBasis(parts[eps])
+            coords = linalg.sparse_rref(linalg.sparse_columns(parts[eps]).values())
+            spans[(k, eps)] = linalg.EchelonBasis([
+                linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
+                for v in coords
+            ])
     bh = tuple(len(spans[(k, BASIC)]) for k in range(m + 1))
     for k in range(m + 1):
         total = sum(len(spans[(k, eps)]) for eps in EPS_ORDER)
@@ -354,12 +365,11 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
                 )
     table = HarmonicTable(m, spans, b, bh)
     for k, basis in enumerate(bases):
-        # The basic forms are the kernel of omega -> (i_xi_alpha omega)_alpha.
-        stacked = [
-            {(alpha, key): c for alpha, (_, xi) in enumerate(eta_xi) for key, c in _contract(xi, v).items()}
-            for v in basis.vectors
-        ]
-        basic_dim = len(basis) - len(linalg.sparse_rref(stacked))
+        # The basic forms are the kernel of omega -> (i_xi_alpha omega)_alpha,
+        # whose matrix stacks the three lambda_alpha blocks.
+        lams = [ops[f"lambda{alpha}"].sparse_blocks.get(k, {}) for alpha in (1, 2, 3)]
+        stacked = {((alpha, r), c): x for alpha, lam in enumerate(lams) for (r, c), x in lam.items()}
+        basic_dim = len(basis) - len(linalg.sparse_rref(linalg.sparse_columns(stacked).values()))
         comp = table.component(k, BASIC)
         if basic_dim != len(comp):
             raise CohomologyError(
@@ -486,12 +496,12 @@ def quaternion_module(
             items.append(CheckItem(name, True))
             mats[alpha] = mat
     if len(mats) == 3:
-        minus_id = linalg.mat_scale(linalg.identity(dim), Fraction(-1))
+        minus_id = {(i, i): -ONE for i in range(dim)}
         for alpha in (1, 2, 3):
-            ok = linalg.mat_mul(mats[alpha], mats[alpha]) == minus_id
+            ok = linalg.sparse_product(mats[alpha], mats[alpha]) == minus_id
             items.append(CheckItem(f"hmodule_I{alpha}_squared_minus_id", ok, None if ok else "I^2 != -id"))
         for (a, b_, c) in EVEN_PERMS:
-            ok = linalg.mat_mul(mats[a], mats[b_]) == linalg.mat_scale(mats[c], Fraction(-1))
+            ok = linalg.sparse_product(mats[a], mats[b_]) == {key: -x for key, x in mats[c].items()}
             witness = None if ok else "quaternion relation fails"
             items.append(CheckItem(f"hmodule_I{a}I{b_}_eq_minus_I{c}", ok, witness))
     ok = dim % 4 == 0

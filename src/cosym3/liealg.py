@@ -28,7 +28,7 @@ from .cohomology import (
     HarmonicTable,
     decompose,
     form_vector,
-    operator_matrix,
+    operator_block,
 )
 from .exterior import HodgeOperator, KForm, wedge
 from .models import ModelSpace
@@ -37,6 +37,7 @@ from .structures import ThreeStructure, fundamental_form
 GENERATORS = ("H", "L1", "L2", "L3", "Lam1", "Lam2", "Lam3", "K1", "K2", "K3")
 
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+_FORMS = "the basic harmonic forms"
 
 
 class DegenerateAlgebraError(ValueError):
@@ -74,60 +75,41 @@ def big_operators(
         raise DegenerateAlgebraError(
             "fiber dimension 0: H, L, Lambda, K all vanish on basic forms"
         )
-    dims = [len(table.span(k, BASIC)) for k in range(m + 1)]
+    dims = tuple(len(table.span(k, BASIC)) for k in range(m + 1))
     bases = {k: table.component(k, BASIC) for k in range(m + 1)}
     star = HodgeOperator(t.g)
     xi_forms = {alpha: xi_form(t, alpha) for alpha in (1, 2, 3)}
     ops: dict[str, GradedOperatorMatrix] = {}
     for alpha in (1, 2, 3):
         xi2 = xi_forms[alpha]
-        l_blocks: dict[int, linalg.Matrix] = {}
-        lam_blocks: dict[int, linalg.Matrix] = {}
+        l_blocks: dict[int, linalg.SparseMatrix] = {}
+        lam_blocks: dict[int, linalg.SparseMatrix] = {}
         for k in range(m + 1):
             if dims[k] == 0:
                 continue
-            images = [wedge(xi2, f) for f in bases[k]]
+            images = [form_vector(wedge(xi2, f)) for f in bases[k]]
             if k + 2 > m:
-                if any(not im.is_zero() for im in images):
+                if any(images):
                     raise CohomologyError(f"L{alpha} image overflows the top degree")
                 continue
-            mat = operator_matrix([form_vector(im) for im in images], table.span(k + 2, BASIC))
-            if mat is None:
-                raise CohomologyError(
-                    f"L{alpha} does not preserve the basic harmonic forms at degree {k}"
-                )
-            l_blocks[k] = mat
+            l_blocks[k] = operator_block(images, table.span(k + 2, BASIC), f"L{alpha}", k, _FORMS)
             if k >= 2:
-                images = [star(wedge(xi2, star(f))) for f in bases[k]]
-                mat = operator_matrix(
-                    [form_vector(im) for im in images], table.span(k - 2, BASIC)
-                )
-                if mat is None:
-                    raise CohomologyError(
-                        f"Lambda{alpha} does not preserve the basic harmonic forms at degree {k}"
-                    )
-                lam_blocks[k] = mat
-        ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks)
-        ops[f"Lam{alpha}"] = GradedOperatorMatrix(f"Lam{alpha}", -2, lam_blocks)
+                images = [form_vector(star(wedge(xi2, star(f)))) for f in bases[k]]
+                dst = table.span(k - 2, BASIC)
+                lam_blocks[k] = operator_block(images, dst, f"Lambda{alpha}", k, _FORMS)
+        ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks, dims)
+        ops[f"Lam{alpha}"] = GradedOperatorMatrix(f"Lam{alpha}", -2, lam_blocks, dims)
     h_blocks = {
-        k: linalg.mat_scale(linalg.identity(dims[k]), Fraction(2 * n - k))
-        for k in range(m + 1)
-        if dims[k]
+        k: {(i, i): Fraction(2 * n - k) for i in range(d) if k != 2 * n} for k, d in enumerate(dims) if d
     }
-    ops["H"] = GradedOperatorMatrix("H", 0, h_blocks)
+    ops["H"] = GradedOperatorMatrix("H", 0, h_blocks, dims)
     for alpha, (beta, gamma) in _COMPLEMENT.items():
-        k_op = linalg.sparse_commutator(_sparse(ops[f"L{beta}"]), _sparse(ops[f"Lam{gamma}"]))
-        blocks = {
-            k: [[k_op.get(((k, i), (k, j)), Fraction(0)) for j in range(d)] for i in range(d)]
-            for k, d in enumerate(dims)
-            if d
-        }
-        ops[f"K{alpha}"] = GradedOperatorMatrix(f"K{alpha}", 0, blocks)
+        k_op = linalg.sparse_commutator(ops[f"L{beta}"].entries, ops[f"Lam{gamma}"].entries)
+        blocks: dict[int, linalg.SparseMatrix] = {k: {} for k, d in enumerate(dims) if d}
+        for ((k, i), (_, j)), x in k_op.items():
+            blocks[k][(i, j)] = x
+        ops[f"K{alpha}"] = GradedOperatorMatrix(f"K{alpha}", 0, blocks, dims)
     return ops
-
-
-def _sparse(op: GradedOperatorMatrix) -> linalg.SparseMatrix:
-    return linalg.sparse_matrix(op.blocks, op.degree_shift)
 
 
 @dataclass(frozen=True)
@@ -290,7 +272,7 @@ def lie_report(
     if table is None:
         table = decompose(space, t)
     graded = big_operators(space, t, table)
-    span = analyze_operator_span([_sparse(graded[name]) for name in GENERATORS])
+    span = analyze_operator_span([graded[name].entries for name in GENERATORS])
 
     # [L_alpha, Lambda_alpha] = sign * H with one sign for every alpha.
     h_sign: int | None = None

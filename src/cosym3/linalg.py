@@ -67,10 +67,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     m = copy_matrix(a)
@@ -157,18 +153,30 @@ def sparse_matrix(blocks: dict[int, Matrix], shift: int = 0) -> SparseMatrix:
     }
 
 
+def _product_terms(a: SparseMatrix, b: SparseMatrix, sign: int = 1):
+    """The terms sign * a[r, k] * b[k, c] of sign * ab, keyed (r, c)."""
+    rows: dict = {}
+    for (r, c), y in b.items():
+        rows.setdefault(r, []).append((c, y))
+    return (((r, c), sign * x * y) for (r, k), x in a.items() for c, y in rows.get(k, ()))
+
+
+def sparse_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab, summing products of nonzero entries only."""
+    return sparse_sum(_product_terms(a, b))
+
+
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """ab - ba, summing products of nonzero entries only."""
+    return sparse_sum(chain(_product_terms(a, b), _product_terms(b, a, -1)))
 
-    def products(left, right, sign):
-        rows: dict = {}
-        for (r, c), y in right.items():
-            rows.setdefault(r, []).append((c, y))
-        for (r, k), x in left.items():
-            for c, y in rows.get(k, ()):
-                yield (r, c), sign * x * y
 
-    return sparse_sum(chain(products(a, b, 1), products(b, a, -1)))
+def sparse_columns(a: SparseMatrix) -> dict:
+    """The nonzero columns of a sparse matrix, each a sparse vector keyed by row."""
+    out: dict = {}
+    for (r, c), x in a.items():
+        out.setdefault(c, {})[r] = x
+    return out
 
 
 def sparse_rref(vectors) -> list[SparseVector]:

@@ -361,9 +361,15 @@ def test_liealg_incompatible_metric(tmp_path, capsys, diagonal, code, err):
             "mapping_torus needs fiber_dim = dim - 3",
         ),
         ("m7f", ("topology", "monodromy", 1, 0), True, "monodromy must be an integer fiber_dim matrix"),
+        # Neither may a non-list exponent vector or an unhashable coordinate
+        # name crash the parser before its checks.
+        ("standard7", ("metric", 0, 0, 0, "e"), 5, "bad exponent vector 5\n"),
+        ("standard7", ("metric", 0, 0, 0, "e"), None, "bad exponent vector None\n"),
+        ("standard7", ("coordinates", 0), ["x", "y"], "coordinates must be dim distinct names\n"),
     ],
     ids=["float-coefficient", "bool-coefficient", "bool-exponent", "bool-dim",
-         "bool-fiber-dim", "bool-monodromy-entry"],
+         "bool-fiber-dim", "bool-monodromy-entry", "int-exponent-vector",
+         "null-exponent-vector", "list-coordinate"],
 )
 def test_structure_file_rejects_floats_and_booleans(tmp_path, capsys, name, path, value, err):
     # Each edit is accepted at face value unless floats and booleans are told

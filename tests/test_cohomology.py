@@ -7,7 +7,9 @@ from cosym3 import (
     EndField,
     KForm,
     betti_checks,
+    decompose,
     harmonic_space,
+    interior_product,
     invariant_forms,
     is_basic,
     quaternion_module,
@@ -26,6 +28,7 @@ from cosym3.cohomology import (
 from cosym3 import linalg
 from cosym3.poly import Poly
 
+import cases
 import randgen
 
 
@@ -142,6 +145,14 @@ def test_small_operators_examples(torus7):
     assert ops["lambda1"].degree_shift == -1
     block = ops["l1"].block(0)
     assert len(block) == 7 and len(block[0]) == 1
+    # Every dense block has the shape of its source and target harmonic spaces.
+    b = (1, 7, 21, 35, 35, 21, 7, 1)
+    for alpha in (1, 2, 3):
+        for name, shift, degrees in (("l", 1, range(7)), ("lambda", -1, range(1, 8)), ("e", 0, range(8))):
+            blocks = ops[f"{name}{alpha}"].blocks
+            assert sorted(blocks) == list(degrees)
+            for k, block in blocks.items():
+                assert len(block) == b[k + shift] and all(len(row) == b[k] for row in block)
 
 
 def test_decompose_tables(torus7_table, m7f_table):
@@ -243,6 +254,24 @@ def test_quaternion_module(torus7, torus7_table, m7f_model, m7f_table):
     assert len(m7f_table.component(1, (0, 0, 0))) == 0
     with pytest.raises(ValueError):
         quaternion_module(space, t, 2, m7f_table)
+
+
+def test_component_forms_are_reduced_echelon_joint_eigenforms(
+    torus7, torus7_table, m7f_model, m7f_table
+):
+    # The e_alpha are not diagonal in the monomial basis on gl7_torus7, so a
+    # wrong map from coordinates back to forms shows up there.
+    gl7 = cases.gl7_torus7()
+    for (space, t), table in ((torus7, torus7_table), (m7f_model, m7f_table), (gl7, decompose(*gl7))):
+        for k in range(table.m + 1):
+            for eps in EPS_ORDER:
+                vectors = list(table.span(k, eps).vectors)
+                assert linalg.sparse_rref(vectors) == vectors
+                for f in table.component(k, eps):
+                    for alpha in (1, 2, 3):
+                        s = t.structure(alpha)
+                        image = wedge(s.eta, interior_product(s.xi, f)) if k else KForm(table.m, 0)
+                        assert image == f.scaled(eps[alpha - 1])
 
 
 def test_e_operators_idempotent_on_matrices(torus7, m7f_model):

@@ -52,7 +52,7 @@ def test_signature():
     assert linalg.signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1, 0)
     assert linalg.signature(linalg.zeros(3, 3)) == (0, 0, 3)
     # Killing form of so(3) is -2I
-    assert linalg.signature(linalg.mat_scale(linalg.identity(3), F(-2))) == (0, 3, 0)
+    assert linalg.signature([[F(-2) if i == j else F(0) for j in range(3)] for i in range(3)]) == (0, 3, 0)
     with pytest.raises(ValueError):
         linalg.signature([[F(0), F(1)], [F(2), F(0)]])
 
@@ -147,7 +147,10 @@ def test_pivot_coordinates_match_solve_many():
         dmat = [[v.get(r, F(0)) for v in basis.vectors] for r in range(cols)]
         vmat = [[im.get(r, F(0)) for im in images] for r in range(cols)]
         expected = linalg.solve_many(dmat, vmat) if images else [[] for _ in basis.vectors]
-        assert operator_matrix(images, basis) == expected
+        sparse = None if expected is None else {
+            (i, j): x for i, row in enumerate(expected) for j, x in enumerate(row) if x
+        }
+        assert operator_matrix(images, basis) == sparse
         for im, col in zip(images, linalg.transpose(expected or [])):
             assert basis.coordinates(im) == {i: x for i, x in enumerate(col) if x}
         outside += expected is None
@@ -155,7 +158,7 @@ def test_pivot_coordinates_match_solve_many():
     empty = linalg.EchelonBasis([])
     assert empty.coordinates({}) == {}
     assert empty.coordinates({(0, 1): F(1)}) is None
-    assert operator_matrix([{}, {}], empty) == []
+    assert operator_matrix([{}, {}], empty) == {}
     assert operator_matrix([{(0,): F(2)}], empty) is None
 
 
