@@ -289,7 +289,7 @@ def lie_report(
     return LieAlgebraReport(
         **vars(span),
         generator_names=GENERATORS,
-        dims=tuple(len(table.span(k, BASIC)) for k in range(table.m + 1)),
+        dims=graded["H"].dims,
         graded=graded,
         h_commutator_sign=h_sign,
         h_commutator_uniform=h_sign is not None,
