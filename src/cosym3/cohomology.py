@@ -21,10 +21,11 @@ from . import linalg
 from .exterior import (
     EndField,
     KForm,
+    _pulled_back,
     exterior_derivative,
+    form_vector,
     interior_product,
     monomial_images,
-    pullback,
     sparse_wedge,
 )
 from .models import DEFAULT_ORDER_BOUND, ModelSpace
@@ -54,13 +55,6 @@ def eps_label(eps: tuple[int, int, int]) -> str:
 
 def monomial_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(m), k))
-
-
-def form_vector(omega: KForm) -> linalg.SparseVector:
-    """The constant form ``omega`` as a sparse vector over the monomial forms."""
-    if not omega.is_constant():
-        raise ValueError("only constant forms can be coordinatized")
-    return {key: p.constant_value() for key, p in omega.terms.items()}
 
 
 def _contract(xi: dict[int, Fraction], v: linalg.SparseVector) -> linalg.SparseVector:
@@ -265,17 +259,17 @@ def small_operators(
         eta, xi = _eta_xi(t, alpha)
         l_blocks: dict[int, linalg.SparseMatrix] = {}
         lam_blocks: dict[int, linalg.SparseMatrix] = {}
-        e_blocks: dict[int, linalg.SparseMatrix] = {}
         for k in range(m + 1):
             vectors = bases[k].vectors
             if k < m:
                 images = [sparse_wedge(eta, v) for v in vectors]
                 l_blocks[k] = operator_block(images, bases[k + 1], f"l{alpha}", k)
-            contracted = [_contract(xi, v) for v in vectors]
             if k > 0:
-                lam_blocks[k] = operator_block(contracted, bases[k - 1], f"lambda{alpha}", k)
-            images = [sparse_wedge(eta, c) for c in contracted]
-            e_blocks[k] = operator_block(images, bases[k], f"e{alpha}", k)
+                images = [_contract(xi, v) for v in vectors]
+                lam_blocks[k] = operator_block(images, bases[k - 1], f"lambda{alpha}", k)
+        e_blocks = {
+            k: linalg.sparse_product(l_blocks[k - 1], lam_blocks[k]) if k else {} for k in range(m + 1)
+        }
         ops[f"l{alpha}"] = GradedOperatorMatrix(f"l{alpha}", 1, l_blocks, dims)
         ops[f"lambda{alpha}"] = GradedOperatorMatrix(f"lambda{alpha}", -1, lam_blocks, dims)
         ops[f"e{alpha}"] = GradedOperatorMatrix(f"e{alpha}", 0, e_blocks, dims)
@@ -363,22 +357,23 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
                     f"dim of component {eps_label(eps)} at degree {k} is "
                     f"{len(spans[(k, eps)])}, expected {expected}"
                 )
-    table = HarmonicTable(m, spans, b, bh)
+    xis = [_eta_xi(t, alpha)[1] for alpha in (1, 2, 3)]
     for k, basis in enumerate(bases):
         # The basic forms are the kernel of omega -> (i_xi_alpha omega)_alpha,
         # whose matrix stacks the three lambda_alpha blocks.
         lams = [ops[f"lambda{alpha}"].sparse_blocks.get(k, {}) for alpha in (1, 2, 3)]
         stacked = {((alpha, r), c): x for alpha, lam in enumerate(lams) for (r, c), x in lam.items()}
         basic_dim = len(basis) - len(linalg.sparse_rref(linalg.sparse_columns(stacked).values()))
-        comp = table.component(k, BASIC)
+        comp = spans[(k, BASIC)]
         if basic_dim != len(comp):
             raise CohomologyError(
                 f"basic harmonic dimension {basic_dim} differs from the "
                 f"(0,0,0) component dimension {len(comp)} at degree {k}"
             )
-        if not all(is_basic(space, t, f) for f in comp):
+        # Constant forms are closed, so basic means every i_xi_alpha kills it.
+        if any(_contract(xi, v) for v in comp.vectors for xi in xis):
             raise CohomologyError(f"a (0,0,0) component basis form of degree {k} is not basic")
-    return table
+    return HarmonicTable(m, spans, b, bh)
 
 
 # -- the ladder of isomorphisms ----------------------------------------------
@@ -392,9 +387,9 @@ def verify_ladder(
     if table is None:
         table = decompose(space, t)
     items = []
+    etas = {alpha: _eta_xi(t, alpha)[0] for alpha in (1, 2, 3)}
     for k in range(table.m - 2):
-        for alpha in (1, 2, 3):
-            eta, _ = _eta_xi(t, alpha)
+        for alpha, eta in etas.items():
             for eps in EPS_ORDER:
                 if eps[alpha - 1] == 1:
                     continue
@@ -482,13 +477,13 @@ def quaternion_module(
         raise ValueError("the quaternionic module structure applies to odd degrees")
     if table is None:
         table = decompose(space, t)
-    forms = table.component(k, BASIC)
-    dim = len(forms)
+    span = table.span(k, BASIC)
+    dim = len(span)
     items = []
     mats = {}
     for alpha in (1, 2, 3):
-        phi = t.structure(alpha).phi
-        mat = operator_matrix([form_vector(pullback(phi, f)) for f in forms], table.span(k, BASIC))
+        phi = t.structure(alpha).phi.to_fractions()
+        mat = operator_matrix([_pulled_back(phi, v) for v in span.vectors], span)
         name = f"hmodule_preserved[{alpha}]"
         if mat is None:
             items.append(CheckItem(name, False, "pullback leaves the component"))

@@ -522,6 +522,13 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 # -- constant forms as sparse vectors -----------------------------------------
 
 
+def form_vector(omega: KForm) -> linalg.SparseVector:
+    """The constant form ``omega`` as a sparse vector over the monomial forms."""
+    if not omega.is_constant():
+        raise ValueError("only constant forms can be coordinatized")
+    return {key: p.constant_value() for key, p in omega.terms.items()}
+
+
 def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
     """Wedge of constant forms kept as dicts from index tuples to Fractions."""
     terms = ((sort_with_sign(ka + kb), x * y) for ka, x in a.items() for kb, y in b.items())
@@ -544,13 +551,11 @@ def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.Sp
     return images
 
 
-def _pulled_back(mat: linalg.Matrix, omega: KForm) -> linalg.SparseVector:
-    """A* omega for a constant form, as a sparse vector."""
-    images = monomial_images(mat, omega.terms)
+def _pulled_back(mat: linalg.Matrix, v: linalg.SparseVector) -> linalg.SparseVector:
+    """A* v for a constant form given as a sparse vector."""
+    images = monomial_images(mat, v)
     return linalg.sparse_sum(
-        (key, p.constant_value() * x)
-        for monomial, p in omega.terms.items()
-        for key, x in images[monomial].items()
+        (key, c * x) for monomial, c in v.items() for key, x in images[monomial].items()
     )
 
 
@@ -565,7 +570,7 @@ def pullback(a: EndField, omega: KForm) -> KForm:
         raise ValueError("pullback requires a constant endomorphism field")
     if not omega.is_constant():
         raise ValueError("pullback requires constant coefficients")
-    return KForm(a.m, omega.degree, _pulled_back(a.to_fractions(), omega))
+    return KForm(a.m, omega.degree, _pulled_back(a.to_fractions(), form_vector(omega)))
 
 
 def complement_sign(indices: IndexTuple, m: int) -> tuple[IndexTuple, int]:
@@ -627,22 +632,25 @@ class HodgeOperator:
             self.m, tuple(range(self.m)), self.sqrt_det * self.orientation_sign
         )
 
-    def __call__(self, omega: KForm) -> KForm:
+    def __call__(self, omega: KForm | linalg.SparseVector) -> KForm | linalg.SparseVector:
         """Raise omega once by G^-1, then send each dx_J to its signed complement.
 
         G^-1 is symmetric, so the coefficient det(G^-1[I, J]) of its pullback
-        is the Gram determinant <dx_J, dx_I>.
+        is the Gram determinant <dx_J, dx_I>.  Takes and returns either a
+        sparse vector or a constant KForm.
         """
-        if omega.m != self.m:
-            raise ValueError("dimension mismatch")
-        if not omega.is_constant():
-            raise ValueError("Hodge star requires constant coefficients")
+        is_form = isinstance(omega, KForm)
+        if is_form:
+            if omega.m != self.m:
+                raise ValueError("dimension mismatch")
+            if not omega.is_constant():
+                raise ValueError("Hodge star requires constant coefficients")
         scale = self.sqrt_det * self.orientation_sign
-        terms = {}
-        for key, c in _pulled_back(self.inverse, omega).items():
+        starred = {}
+        for key, c in _pulled_back(self.inverse, form_vector(omega) if is_form else omega).items():
             comp, sign = complement_sign(key, self.m)
-            terms[comp] = c * scale * sign
-        return KForm(self.m, self.m - omega.degree, terms)
+            starred[comp] = c * scale * sign
+        return KForm(self.m, self.m - omega.degree, starred) if is_form else starred
 
 
 def hodge_star(g: Metric, omega: KForm, orientation: Sequence[int] | None = None) -> KForm:
@@ -653,11 +661,9 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> Fraction:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
-    raised = _pulled_back(HodgeOperator(g).inverse, alpha)
-    return sum(
-        (x * beta.terms[key].constant_value() for key, x in raised.items() if key in beta.terms),
-        Fraction(0),
-    )
+    raised = _pulled_back(HodgeOperator(g).inverse, form_vector(alpha))
+    b = form_vector(beta)
+    return sum((x * b[key] for key, x in raised.items() if key in b), Fraction(0))
 
 
 def volume_form(g: Metric, orientation: Sequence[int] | None = None) -> KForm:

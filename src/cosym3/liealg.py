@@ -27,10 +27,9 @@ from .cohomology import (
     GradedOperatorMatrix,
     HarmonicTable,
     decompose,
-    form_vector,
     operator_block,
 )
-from .exterior import HodgeOperator, KForm, wedge
+from .exterior import HodgeOperator, KForm, form_vector, sparse_wedge, wedge
 from .models import ModelSpace
 from .structures import ThreeStructure, fundamental_form
 
@@ -76,25 +75,24 @@ def big_operators(
             "fiber dimension 0: H, L, Lambda, K all vanish on basic forms"
         )
     dims = tuple(len(table.span(k, BASIC)) for k in range(m + 1))
-    bases = {k: table.component(k, BASIC) for k in range(m + 1)}
     star = HodgeOperator(t.g)
-    xi_forms = {alpha: xi_form(t, alpha) for alpha in (1, 2, 3)}
     ops: dict[str, GradedOperatorMatrix] = {}
     for alpha in (1, 2, 3):
-        xi2 = xi_forms[alpha]
+        xi2 = form_vector(xi_form(t, alpha))
         l_blocks: dict[int, linalg.SparseMatrix] = {}
         lam_blocks: dict[int, linalg.SparseMatrix] = {}
         for k in range(m + 1):
             if dims[k] == 0:
                 continue
-            images = [form_vector(wedge(xi2, f)) for f in bases[k]]
+            vectors = table.span(k, BASIC).vectors
+            images = [sparse_wedge(xi2, v) for v in vectors]
             if k + 2 > m:
                 if any(images):
                     raise CohomologyError(f"L{alpha} image overflows the top degree")
                 continue
             l_blocks[k] = operator_block(images, table.span(k + 2, BASIC), f"L{alpha}", k, _FORMS)
             if k >= 2:
-                images = [form_vector(star(wedge(xi2, star(f)))) for f in bases[k]]
+                images = [star(sparse_wedge(xi2, star(v))) for v in vectors]
                 dst = table.span(k - 2, BASIC)
                 lam_blocks[k] = operator_block(images, dst, f"Lambda{alpha}", k, _FORMS)
         ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks, dims)

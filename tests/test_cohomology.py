@@ -155,6 +155,27 @@ def test_small_operators_examples(torus7):
                 assert len(block) == b[k + shift] and all(len(row) == b[k] for row in block)
 
 
+def test_e_blocks_match_eta_wedge_xi_contraction():
+    # e_alpha is built as l_alpha(k - 1) . lambda_alpha(k); the reference
+    # applies eta_alpha ^ i_xi_alpha to every harmonic basis form and reads
+    # the image's coordinates.  The e_alpha are not diagonal on gl7_torus7.
+    space, t = cases.gl7_torus7()
+    ops = small_operators(space, t)
+    bases = [linalg.EchelonBasis(harmonic_space(space, t, k)) for k in range(8)]
+    for alpha in (1, 2, 3):
+        s = t.structure(alpha)
+        e = ops[f"e{alpha}"]
+        assert sorted(e.sparse_blocks) == list(range(8))
+        for k, basis in enumerate(bases):
+            expected = {}
+            for j, v in enumerate(basis.vectors):
+                image = wedge(s.eta, interior_product(s.xi, KForm(7, k, v))) if k else KForm(7, 0)
+                col = basis.coordinates(form_vector(image))
+                assert col is not None
+                expected.update(((i, j), x) for i, x in col.items())
+            assert e.sparse_blocks[k] == expected
+
+
 def test_decompose_tables(torus7_table, m7f_table):
     # Dimensions of the eightfold split at k = 2, plus dimension bookkeeping.
     t7 = torus7_table
@@ -254,6 +275,13 @@ def test_quaternion_module(torus7, torus7_table, m7f_model, m7f_table):
     assert len(m7f_table.component(1, (0, 0, 0))) == 0
     with pytest.raises(ValueError):
         quaternion_module(space, t, 2, m7f_table)
+    # phi is not diagonal in the monomial basis on gl7_torus7.
+    space, t = cases.gl7_torus7()
+    table = decompose(space, t)
+    for k in (1, 3, 5):
+        report = quaternion_module(space, t, k, table)
+        assert report.passed, [i.name for i in report.failures()]
+        assert len(report.items) == 10
 
 
 def test_component_forms_are_reduced_echelon_joint_eigenforms(

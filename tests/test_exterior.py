@@ -21,6 +21,7 @@ from cosym3 import (
     wedge,
 )
 from cosym3.cohomology import pullback_matrix
+from cosym3.exterior import monomial_images
 from cosym3.poly import Poly
 
 import oracles
@@ -218,8 +219,9 @@ def _square_det_metric(rng, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_constant_forms_match_determinant_oracles(m):
-    # pullback, pullback_matrix, the star in both orientations and the inner
-    # product against one minor or Gram determinant per pair of index tuples.
+    # pullback, monomial_images, pullback_matrix, the star on forms and on
+    # sparse vectors in both orientations, and the inner product against one
+    # minor or Gram determinant per pair of index tuples.
     rng = random.Random(900 + m)
     mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
     a = EndField.from_fractions(mat)
@@ -232,6 +234,7 @@ def test_constant_forms_match_determinant_oracles(m):
     for k in range(m + 1):
         tuples = list(combinations(range(m), k))
         images = {t: oracles.minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
+        assert monomial_images(mat, tuples) == images
         assert pullback_matrix(a, k) == [[images[t].get(s, 0) for t in tuples] for s in tuples]
         alpha, beta = (
             {t: randgen.fraction(rng, False) for t in rng.sample(tuples, min(4, len(tuples)))}
@@ -243,6 +246,8 @@ def test_constant_forms_match_determinant_oracles(m):
         assert hodge_star(g, form, orientation=odd) == KForm(
             m, m - k, oracles.gram_star(g_mat, alpha, odd)
         )
+        assert HodgeOperator(g)(alpha) == oracles.gram_star(g_mat, alpha)
+        assert HodgeOperator(g, odd)(alpha) == oracles.gram_star(g_mat, alpha, odd)
         assert form_inner_product(g, form, KForm(m, k, beta)) == oracles.gram_inner(
             g_mat, alpha, beta
         )

@@ -221,3 +221,34 @@ def test_bracket_table_antisymmetry(torus7, torus7_table):
             forward = rep.bracket(left, right)
             backward = rep.bracket(right, left)
             assert forward == tuple(-c for c in backward)
+
+
+def test_attributes_the_bench_tracer_patches(torus7, torus7_table, monkeypatch):
+    # bench/tracing.py times layers by replacing these module attributes, so a
+    # refactor that renames one, or stops reaching the star through
+    # liealg.HodgeOperator, would silently zero a per-layer metric.
+    from cosym3 import cli, cohomology, liealg, structures
+
+    for module, names in (
+        (cli, ("_load_model", "check_three_cosymplectic", "monodromy_invariance",
+               "d_homothetic_deform", "verify_ladder", "lie_report", "decompose")),
+        (structures, ("nijenhuis_tensor", "check_quaternionic")),
+        (cohomology, ("harmonic_space", "small_operators")),
+        (linalg, ("rref", "kernel_basis")),
+        (liealg, ("big_operators", "analyze_operator_span", "decompose", "HodgeOperator")),
+    ):
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    calls = []
+
+    class CountingHodge(liealg.HodgeOperator):
+        def __call__(self, omega):
+            calls.append(omega)
+            return super().__call__(omega)
+
+    monkeypatch.setattr(liealg, "HodgeOperator", CountingHodge)
+    space, t = torus7
+    assert liealg.lie_report(space, t, torus7_table).passed
+    assert calls
+    ops = cohomology.small_operators(space, t)
+    assert all(isinstance(op.blocks, dict) for op in ops.values())
