@@ -112,24 +112,25 @@ def check_reports() -> dict:
 # -- models read from structure files by the pinned CLI runs -------------------
 
 
-def gl7_torus7():
-    """torus7 pulled back by a seeded matrix A in GL(7, Z).
+def sheared_torus(n: int, shears: int):
+    """The flat torus of dimension 4n + 3 pulled back by a seeded A in GL(4n + 3, Z).
 
     x -> A x is a diffeomorphism of the torus, so the result is again a
     constant 3-cosymplectic structure, but its e_alpha are no longer diagonal
-    in the monomial basis: phi' = A^-1 phi A, xi' = A^-1 xi, eta' = eta A and
-    g' = A^T g A.
+    in the monomial basis and its metric is not diagonal: phi' = A^-1 phi A,
+    xi' = A^-1 xi, eta' = eta A and g' = A^T g A.
     """
-    space, t = flat_torus(1)
-    a_mat = randgen.unimodular(random.Random(5), 7, shears=8)
+    space, t = flat_torus(n)
+    m = t.m
+    a_mat = randgen.unimodular(random.Random(5), m, shears=shears)
     a = EndField.from_fractions(a_mat)
     a_inv = EndField.from_fractions(inverse(a_mat))
     g = t.g.to_fractions()
     g_pulled = Metric.from_fractions(
         [
-            [sum(a_mat[k][i] * g[k][l] * a_mat[l][j] for k in range(7) for l in range(7))
-             for j in range(7)]
-            for i in range(7)
+            [sum(a_mat[k][i] * g[k][l] * a_mat[l][j] for k in range(m) for l in range(m))
+             for j in range(m)]
+            for i in range(m)
         ]
     )
     structures = [
@@ -139,6 +140,20 @@ def gl7_torus7():
         for s in t.structures
     ]
     return space, ThreeStructure(structures)
+
+
+def gl7_torus7():
+    """torus7 pulled back by a seeded matrix in GL(7, Z) made of 8 shears."""
+    return sheared_torus(1, 8)
+
+
+def sheared11():
+    """torus11 pulled back by a seeded matrix in GL(11, Z) made of 12 shears.
+
+    Its basis vectors have denominators up to 4, so it is the dim-11 input
+    whose harmonic forms and operators have non-integral entries.
+    """
+    return sheared_torus(2, 12)
 
 
 def swap11():
@@ -159,7 +174,7 @@ def swap11():
 
 
 #: Structure files that pinned CLI runs read with ``--input``.
-MODEL_FILES = {"gl7_torus7.json": gl7_torus7, "swap11.json": swap11}
+MODEL_FILES = {"gl7_torus7.json": gl7_torus7, "swap11.json": swap11, "sheared11.json": sheared11}
 
 #: CLI runs whose stdout, stderr and exit code are pinned byte for byte.
 CLI_CASES = {
@@ -184,6 +199,8 @@ SLOW_CLI_CASES = {
     "liealg swap11": ["liealg", "--input", "swap11.json"],
     "betti torus11": ["betti", "--builtin", "torus11"],
     "liealg torus11": ["liealg", "--builtin", "torus11"],
+    "betti sheared11": ["betti", "--input", "sheared11.json"],
+    "liealg sheared11": ["liealg", "--input", "sheared11.json"],
 }
 
 
