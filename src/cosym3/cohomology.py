@@ -3,7 +3,8 @@
 On a compact flat quotient with finite-order linear monodromy the harmonic
 forms are exactly the constant monodromy-invariant forms, so every space here
 is computed by exact rational linear algebra on sparse vectors: a constant
-k-form is a dict from increasing index tuples to nonzero Fractions.
+k-form is a dict from increasing index tuples to nonzero entries, each an
+``int`` when integral and a ``Fraction`` otherwise (see ``linalg``).
 Invariant subspaces come from averaging projectors.  Each space is kept as
 its reduced echelon basis over the ordered monomial forms and each operator
 as one sparse matrix per degree of the coordinates read off its pivots; the
@@ -35,7 +36,7 @@ from .structures import CheckItem, CheckReport, EVEN_PERMS, ThreeStructure
 #: 000, then 100 010 001, then 110 101 011, then 111.
 EPS_ORDER = tuple(sorted(product((1, 0), repeat=3), key=sum))
 BASIC = (0, 0, 0)
-ONE = Fraction(1)
+ONE = 1
 
 
 class NonCompactError(ValueError):
@@ -57,7 +58,7 @@ def monomial_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(m), k))
 
 
-def _contract(xi: dict[int, Fraction], v: linalg.SparseVector) -> linalg.SparseVector:
+def _contract(xi: dict[int, linalg.Entry], v: linalg.SparseVector) -> linalg.SparseVector:
     return linalg.sparse_sum(
         (key[:pos] + key[pos + 1 :], -xi[idx] * c if pos % 2 else xi[idx] * c)
         for key, c in v.items()
@@ -69,7 +70,7 @@ def _contract(xi: dict[int, Fraction], v: linalg.SparseVector) -> linalg.SparseV
 def _eta_xi(t: ThreeStructure, alpha: int):
     """eta_alpha as a sparse vector and xi_alpha as index -> component."""
     s = t.structure(alpha)
-    xi = {i: p.constant_value() for i, p in enumerate(s.xi.components) if not p.is_zero()}
+    xi = {i: linalg.exact(p.constant_value()) for i, p in enumerate(s.xi.components) if not p.is_zero()}
     return form_vector(s.eta), xi
 
 
@@ -98,7 +99,7 @@ def pullback_matrix(a: EndField, q: int) -> linalg.Matrix:
     """Dense matrix of the slotwise pullback a* on constant q-forms."""
     tuples = monomial_tuples(a.m, q)
     images = monomial_images(a.to_fractions(), tuples)
-    return [[images[t].get(s, Fraction(0)) for t in tuples] for s in tuples]
+    return [[images[t].get(s, 0) for t in tuples] for s in tuples]
 
 
 def invariant_forms(
@@ -106,10 +107,11 @@ def invariant_forms(
 ) -> list[linalg.SparseVector]:
     """Canonical basis of the fixed subspace of a* on constant q-forms.
 
-    Computed as the column space of the averaging projector
-    P = (1/r) sum_{j<r} (a*)^j, whose column at dx_I is the mean of the
-    orbit of dx_I; the projector trace must equal the fixed dimension, and
-    the two are cross-checked on every call.
+    Computed as the column space of r P, where P = (1/r) sum_{j<r} (a*)^j
+    is the averaging projector: the column of r P at dx_I is the sum of the
+    orbit of dx_I, so it stays integral for an integral monodromy.  The
+    projector trace must equal the fixed dimension, and the two are
+    cross-checked on every call.
     """
     if not a.is_constant():
         raise ValueError("monodromy must be constant")
@@ -120,14 +122,14 @@ def invariant_forms(
     images = monomial_images(mat, monomial_tuples(a.m, q))
     columns = []
     for t in images:
-        orbit = [{t: Fraction(1, order)}]
+        orbit = [{t: 1}]
         for _ in range(order - 1):
             orbit.append(linalg.sparse_sum(
                 (key, c * x) for s, c in orbit[-1].items() for key, x in images[s].items()
             ))
         columns.append(linalg.sparse_sum(term for v in orbit for term in v.items()))
     basis = linalg.sparse_rref(columns)
-    tr = sum((col.get(t, 0) for t, col in zip(images, columns)), Fraction(0))
+    tr = Fraction(sum(col.get(t, 0) for t, col in zip(images, columns)), order)
     if tr != len(basis):
         raise CohomologyError(
             f"projector trace {tr} disagrees with fixed-space dimension {len(basis)}"
@@ -233,7 +235,7 @@ class GradedOperatorMatrix:
     def block(self, k: int) -> linalg.Matrix:
         if k not in self.sparse_blocks:
             return []
-        rows = [[Fraction(0)] * self.dims[k] for _ in range(self.dims[k + self.degree_shift])]
+        rows = linalg.zeros(self.dims[k + self.degree_shift], self.dims[k])
         for (i, j), x in self.sparse_blocks[k].items():
             rows[i][j] = x
         return rows

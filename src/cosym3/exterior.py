@@ -526,11 +526,11 @@ def form_vector(omega: KForm) -> linalg.SparseVector:
     """The constant form ``omega`` as a sparse vector over the monomial forms."""
     if not omega.is_constant():
         raise ValueError("only constant forms can be coordinatized")
-    return {key: p.constant_value() for key, p in omega.terms.items()}
+    return {key: linalg.exact(p.constant_value()) for key, p in omega.terms.items()}
 
 
 def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
-    """Wedge of constant forms kept as dicts from index tuples to Fractions."""
+    """Wedge of constant forms kept as dicts from index tuples to entries."""
     terms = ((sort_with_sign(ka + kb), x * y) for ka, x in a.items() for kb, y in b.items())
     return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
 
@@ -541,10 +541,10 @@ def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.Sp
     Row i of ``mat`` is A* dx_i, so the coefficient of A* dx_I at dx_J is the
     minor det(A[I, J]).
     """
-    rows = [{(j,): x for j, x in enumerate(row) if x} for row in mat]
+    rows = [{(j,): linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
     images = {}
     for key in monomials:
-        image = {(): Fraction(1)}
+        image = {(): 1}
         for i in key:
             image = sparse_wedge(image, rows[i])
         images[key] = image
@@ -645,7 +645,7 @@ class HodgeOperator:
                 raise ValueError("dimension mismatch")
             if not omega.is_constant():
                 raise ValueError("Hodge star requires constant coefficients")
-        scale = self.sqrt_det * self.orientation_sign
+        scale = linalg.exact(self.sqrt_det * self.orientation_sign)
         starred = {}
         for key, c in _pulled_back(self.inverse, form_vector(omega) if is_form else omega).items():
             comp, sign = complement_sign(key, self.m)
@@ -657,13 +657,13 @@ def hodge_star(g: Metric, omega: KForm, orientation: Sequence[int] | None = None
     return HodgeOperator(g, orientation)(omega)
 
 
-def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> Fraction:
+def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
     raised = _pulled_back(HodgeOperator(g).inverse, form_vector(alpha))
     b = form_vector(beta)
-    return sum((x * b[key] for key, x in raised.items() if key in b), Fraction(0))
+    return sum(x * b[key] for key, x in raised.items() if key in b)
 
 
 def volume_form(g: Metric, orientation: Sequence[int] | None = None) -> KForm:

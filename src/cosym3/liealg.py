@@ -17,7 +17,6 @@ change and is recorded verbatim in the report, never silently adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 
 from . import linalg
@@ -98,7 +97,7 @@ def big_operators(
         ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks, dims)
         ops[f"Lam{alpha}"] = GradedOperatorMatrix(f"Lam{alpha}", -2, lam_blocks, dims)
     h_blocks = {
-        k: {(i, i): Fraction(2 * n - k) for i in range(d) if k != 2 * n} for k, d in enumerate(dims) if d
+        k: {(i, i): 2 * n - k for i in range(d) if k != 2 * n} for k, d in enumerate(dims) if d
     }
     ops["H"] = GradedOperatorMatrix("H", 0, h_blocks, dims)
     for alpha, (beta, gamma) in _COMPLEMENT.items():
@@ -123,7 +122,7 @@ class SpanAnalysis:
     independent: bool
     closed: bool
     span_dim: int
-    bracket_coeffs: dict[tuple[int, int], dict[int, Fraction]] | None
+    bracket_coeffs: dict[tuple[int, int], dict[int, linalg.Entry]] | None
     killing: linalg.Matrix | None
     killing_rank: int | None
     signature: tuple[int, int, int] | None
@@ -155,7 +154,7 @@ class LieAlgebraReport(SpanAnalysis):
             and bool(self.killing_invariance_ok)
         )
 
-    def bracket(self, left: str, right: str) -> tuple[Fraction, ...]:
+    def bracket(self, left: str, right: str) -> tuple[linalg.Entry, ...]:
         if self.bracket_coeffs is None:
             raise ValueError("bracket table unavailable: span did not close")
         i = self.generator_names.index(left)
@@ -165,7 +164,7 @@ class LieAlgebraReport(SpanAnalysis):
             coeffs = self.bracket_coeffs[(i, j)]
         elif i > j:
             coeffs, sign = self.bracket_coeffs[(j, i)], -1
-        return tuple(sign * coeffs.get(k, Fraction(0)) for k in range(len(self.generator_names)))
+        return tuple(sign * coeffs.get(k, 0) for k in range(len(self.generator_names)))
 
 
 def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
@@ -193,19 +192,19 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     # The echelon coordinates are a bracket's entries at the pivots, so its
     # coordinates over the operators solve the operators' pivot entries.
     pivots = [min(v) for v in basis.vectors]
-    inv = linalg.inverse([[op.get(p, Fraction(0)) for op in ops] for p in pivots])
-    coeffs = {
-        key: linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
-        for key, c in coords.items()
-    }
+    inv = linalg.inverse([[op.get(p, 0) for op in ops] for p in pivots])
+    coeffs = {}
+    for key, c in coords.items():
+        terms = linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
+        coeffs[key] = {k: linalg.exact(x) for k, x in terms.items()}
     table = dict(coeffs)
     table.update({(j, i): {k: -x for k, x in c.items()} for (i, j), c in coeffs.items()})
 
-    def const(i: int, j: int) -> dict[int, Fraction]:
+    def const(i: int, j: int) -> dict[int, linalg.Entry]:
         """Coordinates of [x_i, x_j]."""
         return table.get((i, j), {})
 
-    def bracket_terms(i: int, vec: dict[int, Fraction]):
+    def bracket_terms(i: int, vec: dict[int, linalg.Entry]):
         """Terms of [x_i, sum_m vec[m] x_m]."""
         return ((p, x * y) for m, x in vec.items() for p, y in const(i, m).items())
 
@@ -213,10 +212,7 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     # tr(ad x_i ad x_j) = sum over k, l of const(i, k)[l] * const(j, l)[k].
     killing = [
         [
-            sum(
-                (x * const(j, l).get(k, 0) for k in range(count) for l, x in const(i, k).items()),
-                Fraction(0),
-            )
+            sum(x * const(j, l).get(k, 0) for k in range(count) for l, x in const(i, k).items())
             for j in range(count)
         ]
         for i in range(count)

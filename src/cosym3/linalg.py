@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices as lists of lists of ``Fraction``, sparse vectors as
-dicts from ordered keys to nonzero ``Fraction``s, and sparse matrices as
-sparse vectors keyed by (row, column) pairs.  Everything here is
-deterministic: pivots are chosen by position, never by magnitude, and kernel
-and row-space bases are reduced-echelon vectors taken in column order.
+An entry is an exact rational: an ``int`` when it is integral and a
+``Fraction`` otherwise (sums of ``Fraction``s may leave a ``Fraction`` with
+denominator 1, which compares and hashes equal to its ``int``).  Values are
+made ``int`` where they are created, by ``exact``, and every division of
+entries goes through ``quotient``, so no ``float`` can appear.  Small dense
+matrices are lists of lists of entries, sparse vectors are dicts from
+ordered keys to nonzero entries, and sparse matrices are sparse vectors
+keyed by (row, column) pairs.  Everything here is deterministic: pivots are
+chosen by position, never by magnitude, and kernel and row-space bases are
+reduced-echelon vectors taken in column order.
 """
 
 from __future__ import annotations
@@ -12,20 +17,34 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
-SparseVector = dict  # key -> nonzero Fraction; keys are ordered columns
-SparseMatrix = dict  # (row, column) -> nonzero Fraction; a SparseVector
+Entry = int | Fraction
+Matrix = list[list[Entry]]
+Vector = list[Entry]
+SparseVector = dict  # key -> nonzero entry; keys are ordered columns
+SparseMatrix = dict  # (row, column) -> nonzero entry; a SparseVector
+
+
+def exact(x) -> Entry:
+    """An exact rational as an entry: the ``int`` when it is integral."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def quotient(x: Entry, y: Entry) -> Entry:
+    """x / y exactly: an ``int`` when the quotient is whole, else a ``Fraction``."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return exact(x / y)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
@@ -59,7 +78,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     out = []
     for row in a:
-        total = Fraction(0)
+        total = 0
         for x, y in zip(row, v):
             if x and y:
                 total += x * y
@@ -79,8 +98,8 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv if x else x for x in m[r]]
+        p = m[r][c]
+        m[r] = [quotient(x, p) if x else x for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -89,7 +108,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return [[exact(x) for x in row] for row in m], pivots
 
 
 def rank(a: Matrix) -> int:
@@ -112,15 +131,15 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     for free in range(cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
+        v = [0] * cols
+        v[free] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][free]
         basis.append(v)
     return basis
 
 
-def add_scaled(v: SparseVector, c: Fraction, w: SparseVector) -> None:
+def add_scaled(v: SparseVector, c: Entry, w: SparseVector) -> None:
     """v += c * w in place, dropping entries that cancel."""
     for key, x in w.items():
         y = v.get(key, 0) + c * x
@@ -194,7 +213,7 @@ def sparse_rref(vectors) -> list[SparseVector]:
             row = rows.get(p)
             if row is None:
                 c = v[p]
-                rows[p] = v if c == 1 else {key: x / c for key, x in v.items()}
+                rows[p] = {key: quotient(x, c) for key, x in v.items()}
                 break
             add_scaled(v, -v[p], row)
     # Back substitution, largest pivot first: a row that is already reduced
@@ -222,7 +241,7 @@ class EchelonBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def coordinates(self, vec: SparseVector) -> dict[int, Fraction] | None:
+    def coordinates(self, vec: SparseVector) -> dict[int, Entry] | None:
         """Coordinates of ``vec``, verified exactly; None outside the span."""
         coords = {}
         rest = {key: x for key, x in vec.items() if x}
@@ -275,27 +294,24 @@ def inverse(a: Matrix) -> Matrix:
     return res
 
 
-def det(a: Matrix) -> Fraction:
+def det(a: Matrix) -> Entry:
     n = len(a)
-    if n == 0:
-        return Fraction(1)
     m = copy_matrix(a)
-    sign = 1
-    result = Fraction(1)
+    result = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
+            result = -result
+        p = m[c][c]
+        result *= p
         for i in range(c + 1, n):
             if m[i][c]:
-                f = m[i][c] * inv
+                f = quotient(m[i][c], p)
                 m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
-    return result * sign
+    return exact(result)
 
 
 def signature(a: Matrix) -> tuple[int, int, int]:
@@ -340,7 +356,7 @@ def signature(a: Matrix) -> tuple[int, int, int]:
         live.remove(k)
         for i in live:
             if m[i][k]:
-                f = m[i][k] / p
+                f = quotient(m[i][k], p)
                 for c in range(n):
                     m[i][c] -= f * m[k][c]
                 for r in range(n):

@@ -252,3 +252,34 @@ def test_attributes_the_bench_tracer_patches(torus7, torus7_table, monkeypatch):
     assert calls
     ops = cohomology.small_operators(space, t)
     assert all(isinstance(op.blocks, dict) for op in ops.values())
+
+
+def _pipeline_entries(space, t, table):
+    """Every entry of the harmonic and component bases, of the small and big
+    operator blocks, and of the bracket coefficients and the Killing form."""
+    from cosym3 import harmonic_space, small_operators
+
+    harmonic = [harmonic_space(space, t, k) for k in range(t.m + 1)]
+    components = [span.vectors for span in table.spans.values()]
+    rep = lie_report(space, t, table)
+    ops = list(small_operators(space, t).values()) + list(rep.graded.values())
+    yield from (x for vectors in harmonic + components for v in vectors for x in v.values())
+    yield from (x for op in ops for block in op.sparse_blocks.values() for x in block.values())
+    yield from (x for coeffs in rep.bracket_coeffs.values() for x in coeffs.values())
+    yield from (x for row in rep.killing for x in row)
+
+
+@pytest.mark.parametrize("name", ["torus7", "m7f", "gl7_torus7"])
+def test_pipeline_entries_are_ints_or_fractions(name, torus7, torus7_table, m7f_model, m7f_table):
+    import cases
+    from cosym3 import decompose
+
+    space, t = {"torus7": torus7, "m7f": m7f_model, "gl7_torus7": cases.gl7_torus7()}[name]
+    table = {"torus7": torus7_table, "m7f": m7f_table}.get(name) or decompose(space, t)
+    kinds = {type(x) for x in _pipeline_entries(space, t, table)}
+    if name == "gl7_torus7":
+        # Its bases have denominators up to 8, so both kinds occur.
+        assert kinds == {int, Fraction}
+    else:
+        # Integral data stays int end to end; no Fraction is made for it.
+        assert kinds == {int}

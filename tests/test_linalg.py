@@ -194,3 +194,69 @@ def test_sparse_commutator_matches_dense_reference():
             if ab[i][j] != ba[i][j]
         }
         assert linalg.sparse_commutator(a, b) == expected
+
+
+def _leaves(x):
+    """Every scalar in nested lists, tuples and dict values."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def _exact_entries(x) -> bool:
+    return all(type(v) in (int, Fraction) for v in _leaves(x))
+
+
+def test_quotient_is_int_when_whole():
+    assert linalg.quotient(6, 3) == 2 and type(linalg.quotient(6, 3)) is int
+    assert linalg.quotient(-1, 2) == F(-1, 2)
+    assert type(linalg.quotient(F(3, 2), F(1, 2))) is int
+    assert linalg.quotient(3, F(3, 2)) == 2 and type(linalg.quotient(3, F(3, 2))) is int
+    assert linalg.exact(F(4, 2)) == 2 and type(linalg.exact(F(4, 2))) is int
+    assert linalg.exact(F(1, 3)) == F(1, 3)
+
+
+def test_dense_routines_stay_exact_on_int_entries():
+    # Dividing two ints with / gives a float, so every dense routine must
+    # give the same exact result on int entries as on Fraction entries.
+    symmetric = [[[2, 1], [1, 1]], [[2, 1], [1, 3]], [[0, 2, 1], [2, 0, 3], [1, 3, 5]]]
+    other = [[[2, 4, 1], [1, 3, 0]], [[3, 1], [6, 2]], [[0, 5], [3, 2]]]
+    for a in symmetric + other:
+        fa = [[F(x) for x in row] for row in a]
+        routines = [linalg.rref, linalg.rank, linalg.row_space_basis, linalg.kernel_basis, linalg.det]
+        if len(a) == len(a[0]) and linalg.rank(fa) == len(a):
+            routines += [linalg.inverse, lambda m: linalg.solve(m, [1] * len(m))]
+        if a in symmetric:
+            routines.append(linalg.signature)
+        for fn in routines:
+            if fn is linalg.det and len(a) != len(a[0]):
+                continue
+            result = fn(a)
+            assert result == fn(fa)
+            assert _exact_entries(result), (fn, a, result)
+    assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert type(linalg.det([[2, 1], [1, 3]])) is int
+    basis = linalg.sparse_rref([{0: 2, 1: 1}])
+    assert basis == [{0: 1, 1: F(1, 2)}] and _exact_entries(basis)
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(2, 5)),
+)
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), max_size=6)))
+def test_sparse_rref_matches_dense_rref_on_mixed_entries(a):
+    basis = linalg.sparse_rref(_sparse(row) for row in a)
+    dense = linalg.row_space_basis(a) if a else []
+    assert {frozenset(v.items()) for v in basis} == {frozenset(_sparse(row).items()) for row in dense}
+    assert _exact_entries(basis) and _exact_entries(dense)
+    # Each pivot is an int 1; an integral entry is never left a float.
+    assert all(type(v[min(v)]) is int and v[min(v)] == 1 for v in basis)
