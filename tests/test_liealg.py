@@ -6,11 +6,14 @@ import pytest
 from cosym3 import (
     HodgeOperator,
     KForm,
+    decompose,
     exterior_derivative,
     flat_torus,
     form_inner_product,
+    harmonic_space,
     interior_product,
     lie_report,
+    small_operators,
     wedge,
     xi_form,
 )
@@ -23,6 +26,7 @@ from cosym3.liealg import (
 )
 from cosym3 import linalg
 
+import cases
 import oracles
 import randgen
 
@@ -257,8 +261,6 @@ def test_attributes_the_bench_tracer_patches(torus7, torus7_table, monkeypatch):
 def _pipeline_entries(space, t, table):
     """Every entry of the harmonic and component bases, of the small and big
     operator blocks, and of the bracket coefficients and the Killing form."""
-    from cosym3 import harmonic_space, small_operators
-
     harmonic = [harmonic_space(space, t, k) for k in range(t.m + 1)]
     components = [span.vectors for span in table.spans.values()]
     rep = lie_report(space, t, table)
@@ -271,9 +273,6 @@ def _pipeline_entries(space, t, table):
 
 @pytest.mark.parametrize("name", ["torus7", "m7f", "gl7_torus7"])
 def test_pipeline_entries_are_ints_or_fractions(name, torus7, torus7_table, m7f_model, m7f_table):
-    import cases
-    from cosym3 import decompose
-
     space, t = {"torus7": torus7, "m7f": m7f_model, "gl7_torus7": cases.gl7_torus7()}[name]
     table = {"torus7": torus7_table, "m7f": m7f_table}.get(name) or decompose(space, t)
     kinds = {type(x) for x in _pipeline_entries(space, t, table)}

@@ -224,21 +224,21 @@ def test_quotient_is_int_when_whole():
 def test_dense_routines_stay_exact_on_int_entries():
     # Dividing two ints with / gives a float, so every dense routine must
     # give the same exact result on int entries as on Fraction entries.
-    symmetric = [[[2, 1], [1, 1]], [[2, 1], [1, 3]], [[0, 2, 1], [2, 0, 3], [1, 3, 5]]]
-    other = [[[2, 4, 1], [1, 3, 0]], [[3, 1], [6, 2]], [[0, 5], [3, 2]]]
-    for a in symmetric + other:
-        fa = [[F(x) for x in row] for row in a]
-        routines = [linalg.rref, linalg.rank, linalg.row_space_basis, linalg.kernel_basis, linalg.det]
-        if len(a) == len(a[0]) and linalg.rank(fa) == len(a):
-            routines += [linalg.inverse, lambda m: linalg.solve(m, [1] * len(m))]
-        if a in symmetric:
-            routines.append(linalg.signature)
-        for fn in routines:
-            if fn is linalg.det and len(a) != len(a[0]):
-                continue
-            result = fn(a)
-            assert result == fn(fa)
-            assert _exact_entries(result), (fn, a, result)
+    any_shape = [linalg.rref, linalg.rank, linalg.row_space_basis, linalg.kernel_basis]
+    invertible_symmetric = any_shape + [
+        linalg.det, linalg.inverse, linalg.signature, lambda m: linalg.solve(m, [1] * len(m))
+    ]
+    cases = [
+        (invertible_symmetric, [[[2, 1], [1, 1]], [[2, 1], [1, 3]], [[0, 2, 1], [2, 0, 3], [1, 3, 5]]]),
+        (any_shape, [[[2, 4, 1], [1, 3, 0]], [[3, 1], [6, 2]], [[0, 5], [3, 2]]]),
+    ]
+    for routines, matrices in cases:
+        for a in matrices:
+            fa = [[F(x) for x in row] for row in a]
+            for fn in routines:
+                result = fn(a)
+                assert result == fn(fa)
+                assert _exact_entries(result), (fn, a, result)
     assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert type(linalg.det([[2, 1], [1, 3]])) is int
     basis = linalg.sparse_rref([{0: 2, 1: 1}])
