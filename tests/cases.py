@@ -80,6 +80,15 @@ def seeded_phi7() -> ThreeStructure:
     return replace_structure(t, 1, phi=seeded_phi(t.structure(1).phi, 7, 6))
 
 
+def seeded_phi11() -> ThreeStructure:
+    """standard11 with eight entries of phi_1 shifted by seeded polynomials.
+
+    Several of its failing witnesses have non-integral rational coefficients.
+    """
+    _, t = euclidean_space(2)
+    return replace_structure(t, 1, phi=seeded_phi(t.structure(1).phi, 11, 8))
+
+
 def nonclosed_eta7() -> ThreeStructure:
     """standard7 with eta_1 = dx5 + x1*x2 dx3 + x6^2 dx5, so d(eta_1) != 0."""
     _, t = euclidean_space(1)
@@ -101,6 +110,7 @@ CASES = {
     "standard11": lambda: euclidean_space(2)[1],
     "polynomial_phi7": polynomial_phi7,
     "seeded_phi7": seeded_phi7,
+    "seeded_phi11": seeded_phi11,
     "nonclosed_eta7": nonclosed_eta7,
 }
 
@@ -174,7 +184,12 @@ def swap11():
 
 
 #: Structure files that pinned CLI runs read with ``--input``.
-MODEL_FILES = {"gl7_torus7.json": gl7_torus7, "swap11.json": swap11, "sheared11.json": sheared11}
+MODEL_FILES = {
+    "gl7_torus7.json": gl7_torus7,
+    "swap11.json": swap11,
+    "sheared11.json": sheared11,
+    "nonclosed_eta7.json": lambda: (euclidean_space(1)[0], nonclosed_eta7()),
+}
 
 #: CLI runs whose stdout, stderr and exit code are pinned byte for byte.
 CLI_CASES = {
@@ -190,6 +205,11 @@ CLI_CASES.update(
         "check gl7_torus7": ["check", "--input", "gl7_torus7.json"],
         "betti gl7_torus7": ["betti", "--input", "gl7_torus7.json"],
         "liealg gl7_torus7": ["liealg", "--input", "gl7_torus7.json"],
+        # A polynomial eta makes the deformed metric polynomial, with
+        # non-integral coefficients in the structure file it writes.
+        "deform nonclosed_eta7": [
+            "deform", "--input", "nonclosed_eta7.json", "--a", "7/3", "--output", "deformed.json",
+        ],
     }
 )
 
@@ -205,7 +225,10 @@ SLOW_CLI_CASES = {
 
 
 def run_cli(argv: list[str], workdir: Path) -> dict:
-    """Run the CLI in-process from ``workdir``; write the file it reads first."""
+    """Run the CLI in-process from ``workdir``; write the file it reads first.
+
+    With ``--output`` the record also holds the text of the file written.
+    """
     if "--input" in argv:
         name = argv[argv.index("--input") + 1]
         space, t = MODEL_FILES[name]()
@@ -218,7 +241,10 @@ def run_cli(argv: list[str], workdir: Path) -> dict:
             code = main(argv)
     finally:
         os.chdir(cwd)
-    return {"code": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+    record = {"code": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+    if "--output" in argv:
+        record["output"] = (workdir / argv[argv.index("--output") + 1]).read_text()
+    return record
 
 
 def _write(path: Path, data: dict) -> None:
