@@ -70,7 +70,7 @@ def _contract(xi: dict[int, linalg.Entry], v: linalg.SparseVector) -> linalg.Spa
 def _eta_xi(t: ThreeStructure, alpha: int):
     """eta_alpha as a sparse vector and xi_alpha as index -> component."""
     s = t.structure(alpha)
-    xi = {i: linalg.exact(p.constant_value()) for i, p in enumerate(s.xi.components) if not p.is_zero()}
+    xi = {i: p.constant_value() for i, p in enumerate(s.xi.components) if not p.is_zero()}
     return form_vector(s.eta), xi
 
 
@@ -341,7 +341,9 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
         for eps in EPS_ORDER:
             coords = linalg.sparse_rref(linalg.sparse_columns(parts[eps]).values())
             spans[(k, eps)] = linalg.EchelonBasis([
-                linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
+                {key: linalg.exact(x) for key, x in linalg.sparse_sum(
+                    (key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items()
+                ).items()}
                 for v in coords
             ])
     bh = tuple(len(spans[(k, BASIC)]) for k in range(m + 1))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .poly import Poly, as_fraction, as_poly, dot
+from .poly import Poly, _accumulate, _collect, as_poly, dot
 
 IndexTuple = tuple[int, ...]
 
@@ -304,7 +304,7 @@ class EndField:
     @classmethod
     def from_fractions(cls, mat: Sequence[Sequence]) -> "EndField":
         m = len(mat)
-        return cls([[Poly.const(m, as_fraction(x)) for x in row] for row in mat])
+        return cls([[Poly.const(m, x) for x in row] for row in mat])
 
     @classmethod
     def block_diag(cls, *blocks: "EndField") -> "EndField":
@@ -329,40 +329,44 @@ class EndField:
         return all(c.is_constant() for row in self.entries for c in row)
 
     def to_fractions(self) -> linalg.Matrix:
+        """The constant entries as a dense matrix, ``int`` where integral."""
         if not self.is_constant():
             raise ValueError("endomorphism field is not constant")
         return [[c.constant_value() for c in row] for row in self.entries]
 
     def __mul__(self, other: "EndField") -> "EndField":
+        """Row-sparse product: each output entry is one accumulated sum."""
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         m = self.m
-        right = other.entries
+        right = [[(j, p.terms) for j, p in enumerate(row) if p.terms] for row in other.entries]
         result = []
         for row in self.entries:
-            nonzero = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
-            result.append([dot(m, ((a, right[k][j]) for k, a in nonzero)) for j in range(m)])
-        return EndField(result)
+            sums = [{} for _ in range(m)]
+            for k, a in enumerate(row):
+                if a.terms:
+                    for j, terms in right[k]:
+                        _accumulate(sums[j], a.terms, terms)
+            result.append(tuple(_collect(m, acc) for acc in sums))
+        return _end_field(m, result)
 
     def __add__(self, other: "EndField") -> "EndField":
-        return EndField(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+        rows = zip(self.entries, other.entries)
+        return _end_field(self.m, [[a + b for a, b in zip(r, s)] for r, s in rows])
 
     def __sub__(self, other: "EndField") -> "EndField":
-        return EndField(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+        rows = zip(self.entries, other.entries)
+        return _end_field(self.m, [[a - b for a, b in zip(r, s)] for r, s in rows])
 
     def __neg__(self) -> "EndField":
-        return EndField([[-a for a in row] for row in self.entries])
+        return _end_field(self.m, [[-a for a in row] for row in self.entries])
 
     def scaled(self, factor) -> "EndField":
         f = factor if isinstance(factor, Poly) else Poly.const(self.m, factor)
         return EndField([[f * a for a in row] for row in self.entries])
 
     def transpose(self) -> "EndField":
-        return EndField([list(col) for col in zip(*self.entries)])
+        return _end_field(self.m, zip(*self.entries))
 
     def apply(self, v: VectorField) -> VectorField:
         if self.m != v.m:
@@ -379,6 +383,14 @@ class EndField:
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m})"
+
+
+def _end_field(m: int, rows) -> EndField:
+    """An EndField over rows of m entries, each already a Poly in m variables."""
+    out = EndField.__new__(EndField)
+    out.m = m
+    out.entries = tuple(map(tuple, rows))
+    return out
 
 
 class Metric(EndField):
@@ -526,7 +538,7 @@ def form_vector(omega: KForm) -> linalg.SparseVector:
     """The constant form ``omega`` as a sparse vector over the monomial forms."""
     if not omega.is_constant():
         raise ValueError("only constant forms can be coordinatized")
-    return {key: linalg.exact(p.constant_value()) for key, p in omega.terms.items()}
+    return {key: p.constant_value() for key, p in omega.terms.items()}
 
 
 def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
@@ -649,7 +661,7 @@ class HodgeOperator:
         starred = {}
         for key, c in _pulled_back(self.inverse, form_vector(omega) if is_form else omega).items():
             comp, sign = complement_sign(key, self.m)
-            starred[comp] = c * scale * sign
+            starred[comp] = linalg.exact(c * scale * sign)
         return KForm(self.m, self.m - omega.degree, starred) if is_form else starred
 
 

@@ -104,7 +104,7 @@ def big_operators(
         k_op = linalg.sparse_commutator(ops[f"L{beta}"].entries, ops[f"Lam{gamma}"].entries)
         blocks: dict[int, linalg.SparseMatrix] = {k: {} for k, d in enumerate(dims) if d}
         for ((k, i), (_, j)), x in k_op.items():
-            blocks[k][(i, j)] = x
+            blocks[k][(i, j)] = linalg.exact(x)
         ops[f"K{alpha}"] = GradedOperatorMatrix(f"K{alpha}", 0, blocks, dims)
     return ops
 

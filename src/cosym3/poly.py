@@ -1,14 +1,20 @@
 """Exact multivariate polynomials over the rationals.
 
 Every tensor entry in this package is a ``Poly``: a sparse map from exponent
-vectors to ``fractions.Fraction``.  No floating point is used anywhere; the
-zero polynomial is the empty map and no zero coefficient is ever stored.
+vectors to exact rational coefficients.  A coefficient is an ``int`` when it
+is integral and a ``fractions.Fraction`` otherwise, the entry rule of
+``linalg.exact``, applied wherever a coefficient is made.  No floating point
+is used anywhere; the zero polynomial is the empty map and no zero
+coefficient is ever stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence
+
+from .linalg import Entry, exact
 
 Exponents = tuple[int, ...]
 
@@ -24,15 +30,45 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _poly(nvars: int, terms: dict) -> "Poly":
+    """A Poly over terms already valid: right length, nonzero, int when integral."""
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out.terms = terms
+    return out
+
+
+def _accumulate(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
+    """Add the product of two term maps into ``acc``, which may keep zeros.
+
+    A constant term (all exponents zero) takes the other factor's exponent
+    vector as it is, so no exponent sum is built for it.
+    """
+    right = [(e2, c2, any(e2)) for e2, c2 in terms2.items()]
+    for e1, c1 in terms1.items():
+        if any(e1):
+            for e2, c2, moves in right:
+                expo = tuple(map(add, e1, e2)) if moves else e1
+                acc[expo] = acc.get(expo, 0) + c1 * c2
+        else:
+            for e2, c2, _ in right:
+                acc[e2] = acc.get(e2, 0) + c1 * c2
+
+
+def _collect(nvars: int, acc: dict) -> "Poly":
+    """The Poly of an ``_accumulate`` result: zeros dropped, int when integral."""
+    return _poly(nvars, {expo: exact(c) for expo, c in acc.items() if c})
+
+
 class Poly:
-    """Sparse polynomial in ``nvars`` variables with Fraction coefficients."""
+    """Sparse polynomial in ``nvars`` variables with exact rational coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Entry] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
@@ -42,10 +78,10 @@ class Poly:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                c = as_fraction(coeff)
+                c = coeff if type(coeff) is int else exact(as_fraction(coeff))
                 if c:
                     acc = clean.get(expo)
-                    total = c if acc is None else acc + c
+                    total = c if acc is None else exact(acc + c)
                     if total:
                         clean[expo] = total
                     elif acc is not None:
@@ -61,17 +97,14 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
-        c = as_fraction(value)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} vars")
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {expo: Fraction(1)})
+        return cls(nvars, {expo: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -79,12 +112,12 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in expo) for expo in self.terms)
+        return not any(map(any, self.terms))
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises otherwise)."""
+    def constant_value(self) -> Entry:
+        """The value of a constant polynomial, an int when integral (raises otherwise)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -98,51 +131,36 @@ class Poly:
             return other
         return Poly.const(self.nvars, other)
 
-    def __add__(self, other) -> "Poly":
+    def _combine(self, other, op) -> "Poly":
         other = self._coerce(other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            total = terms.get(expo, Fraction(0)) + c
+            total = exact(op(terms.get(expo, 0), c))
             if total:
                 terms[expo] = total
-            elif expo in terms:
-                del terms[expo]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+            else:
+                terms.pop(expo, None)
+        return _poly(self.nvars, terms)
+
+    def __add__(self, other) -> "Poly":
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {expo: -c for expo, c in self.terms.items()}
-        return out
+        return _poly(self.nvars, {expo: -c for expo, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Poly(self.nvars)
-        prod: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                total = prod.get(expo, Fraction(0)) + c1 * c2
-                if total:
-                    prod[expo] = total
-                elif expo in prod:
-                    del prod[expo]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = prod
-        return out
+        acc: dict[Exponents, Entry] = {}
+        _accumulate(acc, self.terms, other.terms)
+        return _collect(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -174,15 +192,15 @@ class Poly:
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Entry] = {}
         for expo, c in self.terms.items():
             e = expo[index]
             if e == 0:
                 continue
             new = list(expo)
             new[index] = e - 1
-            terms[tuple(new)] = c * e
-        return Poly(self.nvars, terms)
+            terms[tuple(new)] = exact(c * e)
+        return _poly(self.nvars, terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -239,13 +257,8 @@ def as_poly(value, nvars: int) -> Poly:
 
 def dot(nvars: int, pairs) -> Poly:
     """Sum of ``a * b`` over the ``(a, b)`` pairs, skipping every zero factor."""
-    acc: dict[Exponents, Fraction] = {}
+    acc: dict[Exponents, Entry] = {}
     for a, b in pairs:
         if a.terms and b.terms:
-            for expo, c in (a * b).terms.items():
-                old = acc.get(expo)
-                acc[expo] = c if old is None else old + c
-    out = Poly.__new__(Poly)
-    out.nvars = nvars
-    out.terms = {expo: c for expo, c in acc.items() if c}
-    return out
+            _accumulate(acc, a.terms, b.terms)
+    return _collect(nvars, acc)

@@ -296,3 +296,49 @@ def gram_star(g, form, orientation=None):
             inner = _gram(inv, other, key)
             out[comp] = out.get(comp, Fraction(0)) + c * inner * root * perm_sign(other + comp)
     return {key: x for key, x in out.items() if x}
+
+
+# Polynomials as term dicts {exponent tuple: Fraction}, every coefficient a
+# Fraction: the arithmetic of the Fraction-only Poly, kept as the reference
+# for the int-when-integral coefficients.
+
+
+def poly_mul(t1, t2):
+    """Product of two term dicts."""
+    prod = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            total = prod.get(expo, Fraction(0)) + Fraction(c1) * Fraction(c2)
+            if total:
+                prod[expo] = total
+            elif expo in prod:
+                del prod[expo]
+    return prod
+
+
+def poly_dot(pairs):
+    """Sum of ``poly_mul(a, b)`` over the pairs of term dicts."""
+    acc = {}
+    for a, b in pairs:
+        for expo, c in poly_mul(a, b).items():
+            acc[expo] = acc.get(expo, Fraction(0)) + c
+    return {expo: c for expo, c in acc.items() if c}
+
+
+def poly_add(t1, t2, sign=1):
+    """t1 + sign * t2 of two term dicts."""
+    total = {expo: Fraction(c) for expo, c in t1.items()}
+    for expo, c in t2.items():
+        total[expo] = total.get(expo, Fraction(0)) + sign * Fraction(c)
+    return {expo: c for expo, c in total.items() if c}
+
+
+def poly_diff(t, index):
+    """Partial derivative of a term dict by variable ``index``."""
+    out = {}
+    for expo, c in t.items():
+        if expo[index]:
+            lowered = expo[:index] + (expo[index] - 1,) + expo[index + 1 :]
+            out[lowered] = Fraction(c) * expo[index]
+    return out

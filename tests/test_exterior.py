@@ -256,6 +256,8 @@ def test_constant_forms_match_determinant_oracles(m):
 def test_metric_validation():
     with pytest.raises(ValueError):
         Metric([[Poly.const(2, 1), Poly.const(2, 2)], [Poly.const(2, 3), Poly.const(2, 1)]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        Metric([[1, Poly.variable(2, 0)], [0, 1]])
     g = Metric.from_fractions([[2, 1], [1, 2]])
     assert g.is_positive_definite()
     assert not Metric.from_fractions([[1, 2], [2, 1]]).is_positive_definite()
@@ -268,6 +270,46 @@ def test_metric_validation():
     assert not poly_g.is_constant()
     assert poly_g.is_positive_definite_at([0, 0])
     assert not poly_g.is_positive_definite_at([-2, 0])
+
+
+def _sparse_end_field(rng: random.Random, m: int) -> EndField:
+    return EndField(
+        [[randgen.poly(rng, m, max_terms=2) if rng.random() < 0.4 else 0 for _ in range(m)]
+         for _ in range(m)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+def test_endfield_results_match_checked_reference(seed, m):
+    rng = random.Random(seed)
+    a, b = _sparse_end_field(rng, m), _sparse_end_field(rng, m)
+    x, y = a.entries, b.entries
+
+    def reference(entry):
+        """The dense result, built entry by entry through the checked constructor."""
+        return EndField([[entry(i, j) for j in range(m)] for i in range(m)])
+
+    cases = [
+        (a * b, reference(lambda i, j: sum((x[i][k] * y[k][j] for k in range(m)), Poly.zero(m)))),
+        (a + b, reference(lambda i, j: x[i][j] + y[i][j])),
+        (a - b, reference(lambda i, j: x[i][j] - y[i][j])),
+        (-a, reference(lambda i, j: -x[i][j])),
+        (a.transpose(), reference(lambda i, j: x[j][i])),
+    ]
+    for result, expected in cases:
+        assert type(result) is EndField and result.m == m
+        assert result == expected
+        assert type(result.entries) is tuple
+        assert all(type(row) is tuple and len(row) == m for row in result.entries)
+        assert all(type(p) is Poly and p.nvars == m for row in result.entries for p in row)
+
+
+def test_public_endfield_still_validates():
+    with pytest.raises(ValueError, match="square"):
+        EndField([[1, 0], [0]])
+    with pytest.raises(ValueError, match="variable count"):
+        EndField([[Poly.variable(3, 0), 0], [0, 1]])
 
 
 def test_endfield_block_diag_and_apply():

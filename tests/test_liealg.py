@@ -271,6 +271,19 @@ def _pipeline_entries(space, t, table):
     yield from (x for row in rep.killing for x in row)
 
 
+def test_no_integral_fraction_in_spans_or_big_operators():
+    # Sums of Fraction products can be integral; where spans and operator
+    # blocks are made such a sum must become its int.
+    space, t = cases.gl7_torus7()
+    table = decompose(space, t)
+    spans = [x for span in table.spans.values() for v in span.vectors for x in v.values()]
+    ops = big_operators(space, t, table).values()
+    blocks = [x for op in ops for block in op.sparse_blocks.values() for x in block.values()]
+    for entries in (spans, blocks):
+        assert not [x for x in entries if type(x) is Fraction and x.denominator == 1]
+        assert any(type(x) is Fraction for x in entries)
+
+
 @pytest.mark.parametrize("name", ["torus7", "m7f", "gl7_torus7"])
 def test_pipeline_entries_are_ints_or_fractions(name, torus7, torus7_table, m7f_model, m7f_table):
     space, t = {"torus7": torus7, "m7f": m7f_model, "gl7_torus7": cases.gl7_torus7()}[name]

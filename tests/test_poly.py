@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cosym3.poly import Poly, as_fraction
+from cosym3.poly import Poly, as_fraction, dot
+
+import oracles
+import randgen
 
 
 def test_zero_coefficients_dropped():
@@ -84,3 +88,36 @@ def test_ring_axioms(p, q, r):
 def test_leibniz_rule_for_diff(p, q):
     lhs = (p * q).diff(0)
     assert lhs == p.diff(0) * q + p * q.diff(0)
+
+
+def _exact_coefficients(p: Poly) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_coefficients_are_int_when_integral(seed, nvars):
+    rng = random.Random(seed)
+    p, q = randgen.poly(rng, nvars, max_terms=4), randgen.poly(rng, nvars, max_terms=4)
+    pairs = [(randgen.poly(rng, nvars), randgen.poly(rng, nvars)) for _ in range(rng.randint(0, 6))]
+    scalar = randgen.fraction(rng)
+    const = {(0,) * nvars: scalar} if scalar else {}
+    index = rng.randrange(nvars)
+    cases = [
+        (Poly(nvars, {e: Fraction(c) for e, c in p.terms.items()}), p.terms),
+        (Poly.const(nvars, scalar), const),
+        (p + q, oracles.poly_add(p.terms, q.terms)),
+        (p - q, oracles.poly_add(p.terms, q.terms, -1)),
+        (scalar - p, oracles.poly_add(const, p.terms, -1)),
+        (p * q, oracles.poly_mul(p.terms, q.terms)),
+        (p * scalar, oracles.poly_mul(p.terms, const)),
+        (dot(nvars, pairs), oracles.poly_dot((a.terms, b.terms) for a, b in pairs)),
+        (p.diff(index), oracles.poly_diff(p.terms, index)),
+    ]
+    for result, reference in cases:
+        assert result.nvars == nvars
+        assert result.terms == reference
+        assert _exact_coefficients(result), result.terms
