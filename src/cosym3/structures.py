@@ -327,7 +327,7 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
             if not value.is_zero():
                 n_phi[(i, j)] = value
             correction = d_eta.coefficient((i, j))
-            normal = value + xi.scaled(correction * 2)
+            normal = value if correction.is_zero() else value + xi.scaled(correction * 2)
             if not normal.is_zero():
                 n_one[(i, j)] = normal
     return NijenhuisResult(m, n_phi, n_one)
