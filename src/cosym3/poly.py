@@ -30,6 +30,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _coefficient(value) -> Entry:
+    """An int, Fraction or 'p/q' string as a coefficient: the int when integral."""
+    return value if type(value) is int else exact(as_fraction(value))
+
+
 def _poly(nvars: int, terms: dict) -> "Poly":
     """A Poly over terms already valid: right length, nonzero, int when integral."""
     out = Poly.__new__(Poly)
@@ -78,7 +83,7 @@ class Poly:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                c = coeff if type(coeff) is int else exact(as_fraction(coeff))
+                c = _coefficient(coeff)
                 if c:
                     acc = clean.get(expo)
                     total = c if acc is None else exact(acc + c)
@@ -129,7 +134,8 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError("polynomials over different variable counts")
             return other
-        return Poly.const(self.nvars, other)
+        c = _coefficient(other)
+        return _poly(self.nvars, {(0,) * self.nvars: c} if c else {})
 
     def _combine(self, other, op) -> "Poly":
         other = self._coerce(other)
@@ -158,6 +164,8 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
+        if not (self.terms and other.terms):
+            return _poly(self.nvars, {})
         acc: dict[Exponents, Entry] = {}
         _accumulate(acc, self.terms, other.terms)
         return _collect(self.nvars, acc)
