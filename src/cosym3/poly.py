@@ -44,7 +44,7 @@ def _poly(nvars: int, terms: dict) -> "Poly":
 
 
 def _accumulate(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
-    """Add the product of two term maps into ``acc``, which may keep zeros.
+    """Add the product of two term maps into ``acc``; zero sums stay for ``_collect``.
 
     A constant term (all exponents zero) takes the other factor's exponent
     vector as it is, so no exponent sum is built for it.
