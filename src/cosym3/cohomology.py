@@ -145,7 +145,7 @@ def _require_compact_constant(space: ModelSpace, t: ThreeStructure):
         raise NonCompactError(
             "harmonic-form spaces require a compact (torus or mapping_torus) model"
         )
-    if not all(x.is_constant() for s in t.structures for x in (s.phi, s.xi, s.eta, s.g)):
+    if not t.constant:
         raise ValueError("compact models require constant-coefficient structure tensors")
 
 

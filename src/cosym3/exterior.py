@@ -4,7 +4,8 @@ Forms, vector fields, endomorphism fields, and metrics on a single chart of
 dimension ``m``.  Forms are keyed by strictly increasing index tuples; any
 other tuple handed to a constructor is normalized, with the permutation sign
 absorbed into the coefficient.  Values are immutable after construction and
-every operation is a pure function, so concurrent use needs no coordination.
+every operation is a pure function, so concurrent use needs no coordination;
+a ``HodgeOperator``'s memo of raised monomials only ever gains fixed values.
 
 Conventions fixed here and used everywhere else:
 
@@ -17,6 +18,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -40,6 +42,28 @@ def sort_with_sign(indices) -> tuple[IndexTuple, int]:
         if a == b:
             return tuple(lst), 0
     return tuple(lst), sign
+
+
+def _merge(ka: IndexTuple, kb: IndexTuple) -> tuple[IndexTuple, int]:
+    """``sort_with_sign(ka + kb)`` for two increasing tuples.
+
+    Each index of the shorter tuple is put into the longer one by bisection;
+    it passes every larger entry of the longer tuple, one transposition each.
+    Swapping the roles of ``ka`` and ``kb`` costs (-1)^(|ka| |kb|).
+    """
+    if len(ka) < len(kb):
+        long, short, odd = kb, ka, len(ka) & len(kb) & 1
+    else:
+        long, short, odd = ka, kb, 0
+    n = len(long)
+    out = list(long)
+    for offset, i in enumerate(short):
+        pos = bisect_left(long, i)
+        if pos < n and long[pos] == i:
+            return tuple(sorted(ka + kb)), 0
+        odd ^= (n - pos) & 1
+        out.insert(pos + offset, i)
+    return tuple(out), -1 if odd else 1
 
 
 class KForm:
@@ -446,7 +470,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
     terms: dict[IndexTuple, Poly] = {}
     for ka, pa in alpha.terms.items():
         for kb, pb in beta.terms.items():
-            key, sign = sort_with_sign(ka + kb)
+            key, sign = _merge(ka, kb)
             if sign == 0:
                 continue
             p = pa * pb
@@ -473,7 +497,7 @@ def exterior_derivative(omega: KForm) -> KForm:
             dp = p.diff(j)
             if dp.is_zero():
                 continue
-            new_key, sign = sort_with_sign((j,) + key)
+            new_key, sign = _merge((j,), key)
             if sign == 0:
                 continue
             if sign < 0:
@@ -543,8 +567,32 @@ def form_vector(omega: KForm) -> linalg.SparseVector:
 
 def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
     """Wedge of constant forms kept as dicts from index tuples to entries."""
-    terms = ((sort_with_sign(ka + kb), x * y) for ka, x in a.items() for kb, y in b.items())
+    terms = ((_merge(ka, kb), x * y) for ka, x in a.items() for kb, y in b.items())
     return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
+
+
+class _Pullback:
+    """A* on constant forms for a constant matrix A whose row i is A* dx_i.
+
+    A* dx_I is memoized as the image of I[:-1] wedged with row I[-1], one
+    wedge per new monomial.  Entries are only ever added, each a fixed
+    function of its key, so callers may share one instance freely.
+    """
+
+    def __init__(self, mat: linalg.Matrix):
+        self.rows = [{(j,): linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
+        self.images: dict[IndexTuple, linalg.SparseVector] = {(): {(): 1}}
+
+    def image(self, key: IndexTuple) -> linalg.SparseVector:
+        found = self.images.get(key)
+        if found is None:
+            found = self.images[key] = sparse_wedge(self.image(key[:-1]), self.rows[key[-1]])
+        return found
+
+    def __call__(self, v: linalg.SparseVector) -> linalg.SparseVector:
+        return linalg.sparse_sum(
+            (key, c * x) for monomial, c in v.items() for key, x in self.image(monomial).items()
+        )
 
 
 def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.SparseVector]:
@@ -553,22 +601,13 @@ def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.Sp
     Row i of ``mat`` is A* dx_i, so the coefficient of A* dx_I at dx_J is the
     minor det(A[I, J]).
     """
-    rows = [{(j,): linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
-    images = {}
-    for key in monomials:
-        image = {(): 1}
-        for i in key:
-            image = sparse_wedge(image, rows[i])
-        images[key] = image
-    return images
+    pull = _Pullback(mat)
+    return {key: pull.image(key) for key in monomials}
 
 
 def _pulled_back(mat: linalg.Matrix, v: linalg.SparseVector) -> linalg.SparseVector:
     """A* v for a constant form given as a sparse vector."""
-    images = monomial_images(mat, v)
-    return linalg.sparse_sum(
-        (key, c * x) for monomial, c in v.items() for key, x in images[monomial].items()
-    )
+    return _Pullback(mat)(v)
 
 
 def pullback(a: EndField, omega: KForm) -> KForm:
@@ -586,11 +625,14 @@ def pullback(a: EndField, omega: KForm) -> KForm:
 
 
 def complement_sign(indices: IndexTuple, m: int) -> tuple[IndexTuple, int]:
-    """Complementary index tuple and the sign of (indices, complement)."""
+    """Complementary index tuple and the sign of (indices, complement).
+
+    Index i at position p passes i - p complement indices: (-1)^(sum - k(k-1)/2).
+    """
     chosen = set(indices)
     comp = tuple(i for i in range(m) if i not in chosen)
-    _, sign = sort_with_sign(indices + comp)
-    return comp, sign
+    k = len(indices)
+    return comp, -1 if (sum(indices) - k * (k - 1) // 2) & 1 else 1
 
 
 def _sqrt_fraction(value: Fraction) -> Fraction | None:
@@ -629,6 +671,7 @@ class HodgeOperator:
                 "det(g) is not a rational square; exact Hodge star unavailable"
             )
         self.inverse = linalg.inverse(mat)
+        self._raise = _Pullback(self.inverse)
         self.sqrt_det = sqrt_det
         if orientation is None:
             self.orientation_sign = 1
@@ -659,7 +702,7 @@ class HodgeOperator:
                 raise ValueError("Hodge star requires constant coefficients")
         scale = linalg.exact(self.sqrt_det * self.orientation_sign)
         starred = {}
-        for key, c in _pulled_back(self.inverse, form_vector(omega) if is_form else omega).items():
+        for key, c in self._raise(form_vector(omega) if is_form else omega).items():
             comp, sign = complement_sign(key, self.m)
             starred[comp] = linalg.exact(c * scale * sign)
         return KForm(self.m, self.m - omega.degree, starred) if is_form else starred

@@ -75,6 +75,8 @@ def big_operators(
         )
     dims = tuple(len(table.span(k, BASIC)) for k in range(m + 1))
     star = HodgeOperator(t.g)
+    # *v for every basic v that some Lambda_alpha acts on, shared by the three alpha.
+    starred = {k: [star(v) for v in table.span(k, BASIC).vectors] for k in range(2, m - 1) if dims[k]}
     ops: dict[str, GradedOperatorMatrix] = {}
     for alpha in (1, 2, 3):
         xi2 = form_vector(xi_form(t, alpha))
@@ -91,7 +93,7 @@ def big_operators(
                 continue
             l_blocks[k] = operator_block(images, table.span(k + 2, BASIC), f"L{alpha}", k, _FORMS)
             if k >= 2:
-                images = [star(sparse_wedge(xi2, star(v))) for v in vectors]
+                images = [star(sparse_wedge(xi2, w)) for w in starred[k]]
                 dst = table.span(k - 2, BASIC)
                 lam_blocks[k] = operator_block(images, dst, f"Lambda{alpha}", k, _FORMS)
         ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks, dims)

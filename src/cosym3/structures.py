@@ -110,10 +110,11 @@ class ThreeStructure:
 
     The chart dimension of an almost contact 3-structure is necessarily of
     the form 4n + 3; a mismatch is flagged here and rejected by
-    :func:`check_three_cosymplectic`.
+    :func:`check_three_cosymplectic`.  ``constant`` records whether every
+    tensor has constant coefficients.
     """
 
-    __slots__ = ("m", "structures", "g", "dimension_ok")
+    __slots__ = ("m", "structures", "g", "dimension_ok", "constant")
 
     def __init__(self, structures: Sequence[AlmostContactMetricStructure]):
         if len(structures) != 3:
@@ -129,6 +130,7 @@ class ThreeStructure:
         self.structures = tuple(structures)
         self.g = g
         self.dimension_ok = m % 4 == 3
+        self.constant = all(x.is_constant() for s in structures for x in (s.phi, s.xi, s.eta, s.g))
 
     def structure(self, alpha: int) -> AlmostContactMetricStructure:
         if alpha not in (1, 2, 3):
@@ -295,8 +297,8 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
     On coordinate fields [d_i, d_j] = 0, so the phi^2 term drops and
     N(d_i, d_j)^k = sum_l (phi^l_i d_l phi^k_j - phi^l_j d_l phi^k_i
     - phi^k_l (d_i phi^l_j - d_j phi^l_i)), assembled from the derivatives
-    of the phi entries, each taken once; products with a zero factor are
-    skipped.
+    of the phi entries, each taken once.  Products with a zero factor are
+    skipped, and a component whose chains hold no derivative is zero.
     """
     m = phi.m
     if eta.m != m or xi.m != m or eta.degree != 1:
@@ -305,6 +307,7 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
     rows = phi.entries
     grad = [[_gradient(p) for p in row] for row in rows]
     neg = [[{l: -d for l, d in g.items()} for g in row] for row in grad]
+    zero = Poly.zero(m)
     n_phi: dict[tuple[int, int], VectorField] = {}
     n_one: dict[tuple[int, int], VectorField] = {}
     for i in range(m):
@@ -321,6 +324,8 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
                         ((rows[k][l], d) for l, d in curl),
                     ),
                 )
+                if curl or grad[k][j] or grad[k][i]
+                else zero
                 for k in range(m)
             ]
             value = VectorField(comps)

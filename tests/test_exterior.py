@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from cosym3 import (
     wedge,
 )
 from cosym3.cohomology import pullback_matrix
-from cosym3.exterior import monomial_images
+from cosym3.exterior import _merge, complement_sign, monomial_images, sort_with_sign
 from cosym3.poly import Poly
 
 import oracles
@@ -353,3 +354,80 @@ def test_dd_zero_random_polynomials(data):
     k = rng.randint(0, m - 1)
     omega = randgen.form(rng, m, k)
     assert exterior_derivative(exterior_derivative(omega)).is_zero()
+
+
+increasing_tuples = st.sets(st.integers(0, 14), max_size=8).map(lambda s: tuple(sorted(s)))
+
+
+@given(increasing_tuples, increasing_tuples)
+def test_merge_matches_sort_with_sign(ka, kb):
+    # Overlapping tuples included: the sign is then 0.
+    assert _merge(ka, kb) == sort_with_sign(ka + kb)
+
+
+def test_complement_sign_matches_sort_with_sign():
+    for m in range(10):
+        for k in range(m + 1):
+            for key in combinations(range(m), k):
+                comp, sign = complement_sign(key, m)
+                assert comp == tuple(i for i in range(m) if i not in key)
+                assert sign == sort_with_sign(key + comp)[1]
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_monomial_images_without_prefixes_match_minors(m):
+    # Only even degrees are requested, unsorted, so every monomial's
+    # odd-length prefixes are missing and get built on the way.
+    rng = random.Random(40 + m)
+    mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
+    wanted = [key for k in range(0, m + 1, 2) for key in combinations(range(m), k)]
+    rng.shuffle(wanted)
+    images = monomial_images(mat, wanted)
+    assert list(images) == wanted
+    for key in wanted:
+        assert images[key] == oracles.minor_pullback(mat, {key: Fraction(1)})
+
+
+def _star_requests(rng, m):
+    tuples = [key for k in range(m + 1) for key in combinations(range(m), k)]
+    return [
+        {key: randgen.fraction(rng, False) for key in rng.sample(tuples, 3)}
+        for _ in range(12)
+    ]
+
+
+def test_one_hodge_operator_matches_fresh_ones_in_any_order():
+    rng = random.Random(71)
+    m = 5
+    g = Metric.from_fractions(_square_det_metric(rng, m))
+    requests = _star_requests(rng, m)
+    fresh = [HodgeOperator(g)(v) for v in requests]
+    for _ in range(3):
+        order = list(range(len(requests)))
+        rng.shuffle(order)
+        star = HodgeOperator(g)
+        assert {i: star(requests[i]) for i in order} == dict(enumerate(fresh))
+
+
+def test_threads_sharing_one_hodge_operator_get_serial_results():
+    rng = random.Random(72)
+    m = 6
+    g = Metric.from_fractions(_square_det_metric(rng, m))
+    requests = _star_requests(rng, m)
+    serial = [HodgeOperator(g)(v) for v in requests]
+    star = HodgeOperator(g)
+    results = [None, None]
+
+    def run(slot, order):
+        results[slot] = {i: star(requests[i]) for i in order}
+
+    order = list(range(len(requests)))
+    threads = [
+        threading.Thread(target=run, args=(0, order)),
+        threading.Thread(target=run, args=(1, order[::-1])),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [dict(enumerate(serial))] * 2

@@ -216,6 +216,45 @@ def test_nijenhuis_polynomial_oracle(build):
     _assert_matches_oracle(result.n_phi, _sympy_nijenhuis(phi_sym, xs), xs)
 
 
+def test_nijenhuis_oracle_with_polynomials_in_two_rows():
+    # Only rows 1 and 4 of phi carry polynomials.  For pairs (i, j) with no
+    # curl term, component k has a chain only when row k does, so the tensor
+    # mixes computed and skipped components within one pair; on (1, 2) the
+    # chain runs through column j and on (2, 3) through column i (0-based).
+    _, t = euclidean_space(1)
+    s = t.structure(1)
+    m = s.m
+    x = [Poly.variable(m, v) for v in range(m)]
+    entries = [list(row) for row in s.phi.entries]
+    entries[0][2] = entries[0][2] + x[0] * x[0] + x[2]
+    entries[3][5] = entries[3][5] + x[1] * x[4]
+    result = nijenhuis_tensor(EndField(entries), s.eta, s.xi)
+
+    xs = sympy.symbols(f"x0:{m}")
+    phi_sym = [[_to_sympy(p, xs) for p in row] for row in entries]
+
+    def has_chain(k, i, j):
+        return any(sympy.diff(phi_sym[k][c], v) != 0 for c in (i, j) for v in xs)
+
+    def has_curl(i, j):
+        return any(
+            sympy.diff(phi_sym[l][j], xs[i]) != 0 or sympy.diff(phi_sym[l][i], xs[j]) != 0
+            for l in range(m)
+        )
+
+    oracle = _sympy_nijenhuis(phi_sym, xs)
+    mixed = [
+        (i, j)
+        for (i, j), vec in oracle.items()
+        if not has_curl(i, j)
+        and len({has_chain(k, i, j) for k in range(m)}) == 2
+        and any(v != 0 for v in vec)
+    ]
+    assert {(1, 2), (2, 3)} <= set(mixed)
+    _assert_matches_oracle(result.n_phi, oracle, xs)
+    assert result.n_one == result.n_phi
+
+
 @pytest.mark.parametrize("seeded_phi", [False, True], ids=["constant-phi", "seeded-phi"])
 def test_normality_tensor_nonclosed_eta_oracle(seeded_phi):
     # eta_1 of standard7 plus polynomial terms, so d(eta_1) != 0 and the
