@@ -32,7 +32,7 @@ from cosym3 import (
     pullback,
     quaternion_right_mult,
 )
-from cosym3.cli import main, structure_file_dict
+from cosym3.cli import main, poly_to_json, structure_file_dict
 from cosym3.linalg import inverse
 from cosym3.models import hyper_kahler_blocks
 from cosym3.poly import Poly
@@ -63,13 +63,14 @@ def polynomial_phi7() -> ThreeStructure:
     return replace_structure(t, 1, phi=EndField(entries))
 
 
-def seeded_phi(phi: EndField, seed: int, count: int) -> EndField:
-    """``phi`` with ``count`` seeded entries shifted by random polynomials."""
+def seeded_phi(phi: EndField, seed: int, count: int, start: int = 0) -> EndField:
+    """``phi`` with ``count`` seeded entries, in rows and columns from ``start``
+    on, shifted by random polynomials."""
     rng = random.Random(seed)
     m = phi.m
     entries = [list(row) for row in phi.entries]
     for _ in range(count):
-        a, b = rng.randrange(m), rng.randrange(m)
+        a, b = rng.randrange(start, m), rng.randrange(start, m)
         entries[a][b] = entries[a][b] + randgen.poly(rng, m)
     return EndField(entries)
 
@@ -87,6 +88,33 @@ def seeded_phi11() -> ThreeStructure:
     """
     _, t = euclidean_space(2)
     return replace_structure(t, 1, phi=seeded_phi(t.structure(1).phi, 11, 8))
+
+
+def polynomial_metric11() -> ThreeStructure:
+    """standard11 with a seeded non-diagonal polynomial metric and seeded phi_1.
+
+    Every change lies in rows and columns 5 to 11, so each failing matrix
+    residual has its first entry in row-major order past (4,4), behind other
+    nonzero entries in column-major order: the goldens pin the scan order of
+    the witnesses.
+    """
+    _, t = euclidean_space(2)
+    m = t.m
+    rng = random.Random(14)
+    entries = [list(row) for row in t.g.entries]
+    for _ in range(4):
+        a, b = sorted(rng.sample(range(4, m), 2))
+        p = randgen.poly(rng, m)
+        entries[a][b] = entries[a][b] + p
+        entries[b][a] = entries[b][a] + p
+    g = Metric(entries)
+    phi = seeded_phi(t.structure(1).phi, 15, 5, start=4)
+    return ThreeStructure(
+        [
+            AlmostContactMetricStructure(phi if s is t.structure(1) else s.phi, s.xi, s.eta, g)
+            for s in t.structures
+        ]
+    )
 
 
 def nonclosed_eta7() -> ThreeStructure:
@@ -112,6 +140,7 @@ CASES = {
     "seeded_phi7": seeded_phi7,
     "seeded_phi11": seeded_phi11,
     "nonclosed_eta7": nonclosed_eta7,
+    "polynomial_metric11": polynomial_metric11,
 }
 
 
@@ -183,12 +212,26 @@ def swap11():
     return mapping_torus(hyper_kahler_blocks(2), EndField.from_fractions(mono))
 
 
+def asymmetric_metric11() -> dict:
+    """The structure file of standard11 with a metric asymmetric past (4,4).
+
+    Entry (8, 5), counted from 0, is set while (5, 8) stays zero, and (6, 9)
+    is set alone: the first asymmetric pair in row-major order, (5, 8), is
+    one whose upper entry is zero.
+    """
+    data = structure_file_dict(*euclidean_space(2))
+    data["metric"][8][5] = poly_to_json(Poly.const(11, 2))
+    data["metric"][6][9] = poly_to_json(Poly.variable(11, 3))
+    return data
+
+
 #: Structure files that pinned CLI runs read with ``--input``.
 MODEL_FILES = {
-    "gl7_torus7.json": gl7_torus7,
-    "swap11.json": swap11,
-    "sheared11.json": sheared11,
-    "nonclosed_eta7.json": lambda: (euclidean_space(1)[0], nonclosed_eta7()),
+    "gl7_torus7.json": lambda: structure_file_dict(*gl7_torus7()),
+    "swap11.json": lambda: structure_file_dict(*swap11()),
+    "sheared11.json": lambda: structure_file_dict(*sheared11()),
+    "nonclosed_eta7.json": lambda: structure_file_dict(euclidean_space(1)[0], nonclosed_eta7()),
+    "asymmetric11.json": asymmetric_metric11,
 }
 
 #: CLI runs whose stdout, stderr and exit code are pinned byte for byte.
@@ -203,6 +246,7 @@ CLI_CASES.update(
         "betti standard7": ["betti", "--builtin", "standard7"],
         "liealg torus3": ["liealg", "--builtin", "torus3"],
         "check gl7_torus7": ["check", "--input", "gl7_torus7.json"],
+        "check asymmetric11": ["check", "--input", "asymmetric11.json"],
         "betti gl7_torus7": ["betti", "--input", "gl7_torus7.json"],
         "liealg gl7_torus7": ["liealg", "--input", "gl7_torus7.json"],
         # A polynomial eta makes the deformed metric polynomial, with
@@ -231,8 +275,7 @@ def run_cli(argv: list[str], workdir: Path) -> dict:
     """
     if "--input" in argv:
         name = argv[argv.index("--input") + 1]
-        space, t = MODEL_FILES[name]()
-        (workdir / name).write_text(json.dumps(structure_file_dict(space, t)))
+        (workdir / name).write_text(json.dumps(MODEL_FILES[name]()))
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)

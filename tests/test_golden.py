@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -40,3 +41,18 @@ def test_gl7_case_has_off_diagonal_e1():
     space, t = cases.gl7_torus7()
     block = small_operators(space, t)["e1"].block(1)
     assert any(x for i, row in enumerate(block) for j, x in enumerate(row) if i != j)
+
+
+def test_metric11_witnesses_lie_past_row_and_column_4():
+    # The other goldens' matrix witnesses all lie within (1,1)-(3,3); this
+    # case pins the row-major scan order of witnesses further in.
+    items = {item["name"]: item for item in GOLDEN["polynomial_metric11"]["items"]}
+    for name in (
+        "almost_contact[1].phi_squared",
+        "compatible[1]",
+        "fundamental_form_antisymmetric[1]",
+        "quaternionic[312].phi_c_eq_minus_phi_b_phi_a",
+    ):
+        row, col = map(int, re.search(r"entry \((\d+),(\d+)\)", items[name]["witness"]).groups())
+        assert row > 4 and col > 4, name
+    assert "entry (5, 8)" in CLI_GOLDEN["check asymmetric11"]["stderr"]
