@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .poly import Poly, _accumulate, _collect, as_poly, dot
+from .poly import Poly, _accumulate, _collect, _poly, as_fraction, as_poly, dot
 
 IndexTuple = tuple[int, ...]
 
@@ -297,33 +297,45 @@ class VectorField:
 
 
 class EndField:
-    """Field of endomorphisms: an m x m matrix of Poly acting on components."""
+    """Field of endomorphisms: an m x m matrix of Poly acting on components.
 
-    __slots__ = ("m", "entries")
+    Stored row-sparse: ``rows[i]`` maps each column with a nonzero entry in
+    row i to that entry, in increasing column order.  ``entries`` is the
+    dense view, built on each access.
+    """
+
+    __slots__ = ("m", "rows")
 
     def __init__(self, entries: Sequence[Sequence]):
         m = len(entries)
+        if any(len(row) != m for row in entries):
+            raise ValueError("endomorphism matrix must be square")
         rows = []
         for row in entries:
-            if len(row) != m:
-                raise ValueError("endomorphism matrix must be square")
-            rows.append(
-                tuple(c if isinstance(c, Poly) else as_poly(c, m) for c in row)
-            )
-        for row in rows:
-            for c in row:
-                if c.nvars != m:
+            sparse = {}
+            for j, c in enumerate(row):
+                p = c if isinstance(c, Poly) else as_poly(c, m)
+                if p.nvars != m:
                     raise ValueError("entry over wrong variable count")
+                if p.terms:
+                    sparse[j] = p
+            rows.append(sparse)
         self.m = m
-        self.entries = tuple(rows)
+        self.rows = tuple(rows)
+
+    @property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        """The dense matrix; every zero entry is one shared zero Poly."""
+        zero = Poly.zero(self.m)
+        return tuple(tuple(row.get(j, zero) for j in range(self.m)) for row in self.rows)
 
     @classmethod
     def identity(cls, m: int) -> "EndField":
-        return cls([[1 if i == j else 0 for j in range(m)] for i in range(m)])
+        return _end_field(cls, m, [{i: Poly.const(m, 1)} for i in range(m)])
 
     @classmethod
     def zero(cls, m: int) -> "EndField":
-        return cls([[0] * m for _ in range(m)])
+        return _end_field(cls, m, [{} for _ in range(m)])
 
     @classmethod
     def from_fractions(cls, mat: Sequence[Sequence]) -> "EndField":
@@ -333,87 +345,129 @@ class EndField:
     @classmethod
     def block_diag(cls, *blocks: "EndField") -> "EndField":
         m = sum(b.m for b in blocks)
-        entries = [[Poly.zero(m) for _ in range(m)] for _ in range(m)]
+        rows = []
         offset = 0
         for b in blocks:
             pad = (0,) * offset, (0,) * (m - offset - b.m)
-            for i in range(b.m):
-                for j in range(b.m):
-                    p = b.entries[i][j]
-                    if b.m == m:
-                        entries[i][j] = p
-                    else:
-                        entries[offset + i][offset + j] = Poly(
-                            m, {pad[0] + e + pad[1]: c for e, c in p.terms.items()}
-                        )
+            for row in b.rows:
+                rows.append(
+                    {
+                        offset + j: p if b.m == m
+                        else _poly(m, {pad[0] + e + pad[1]: c for e, c in p.terms.items()})
+                        for j, p in row.items()
+                    }
+                )
             offset += b.m
-        return cls(entries)
+        return _end_field(cls, m, rows)
 
     def is_constant(self) -> bool:
-        return all(c.is_constant() for row in self.entries for c in row)
+        return all(p.is_constant() for row in self.rows for p in row.values())
 
     def to_fractions(self) -> linalg.Matrix:
         """The constant entries as a dense matrix, ``int`` where integral."""
         if not self.is_constant():
             raise ValueError("endomorphism field is not constant")
-        return [[c.constant_value() for c in row] for row in self.entries]
+        out = [[0] * self.m for _ in range(self.m)]
+        for i, row in enumerate(self.rows):
+            for j, p in row.items():
+                out[i][j] = p.constant_value()
+        return out
 
     def __mul__(self, other: "EndField") -> "EndField":
-        """Row-sparse product: each output entry is one accumulated sum."""
+        """Gustavson's row-by-row product: each output row sums, per column,
+        the products of its nonzero entries with the rows they select."""
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         m = self.m
-        right = [[(j, p.terms) for j, p in enumerate(row) if p.terms] for row in other.entries]
         result = []
-        for row in self.entries:
-            sums = [{} for _ in range(m)]
-            for k, a in enumerate(row):
-                if a.terms:
-                    for j, terms in right[k]:
-                        _accumulate(sums[j], a.terms, terms)
-            result.append(tuple(_collect(m, acc) for acc in sums))
-        return _end_field(m, result)
+        for row in self.rows:
+            sums: dict[int, dict] = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    _accumulate(sums.setdefault(j, {}), a.terms, b.terms)
+            collected = ((j, _collect(m, sums[j])) for j in sorted(sums))
+            result.append({j: p for j, p in collected if p.terms})
+        return _end_field(EndField, m, result)
+
+    def _combine(self, other: "EndField", negate: bool) -> "EndField":
+        """self + other, or self - other, merged row by row."""
+        result = []
+        for r, s in zip(self.rows, other.rows):
+            out = dict(r)
+            grew = False
+            for j, q in s.items():
+                p = out.get(j)
+                if p is None:
+                    out[j] = -q if negate else q
+                    grew = True
+                    continue
+                total = p - q if negate else p + q
+                if total.terms:
+                    out[j] = total
+                else:
+                    del out[j]
+            result.append(dict(sorted(out.items())) if grew else out)
+        return _end_field(EndField, self.m, result)
 
     def __add__(self, other: "EndField") -> "EndField":
-        rows = zip(self.entries, other.entries)
-        return _end_field(self.m, [[a + b for a, b in zip(r, s)] for r, s in rows])
+        return self._combine(other, False)
 
     def __sub__(self, other: "EndField") -> "EndField":
-        rows = zip(self.entries, other.entries)
-        return _end_field(self.m, [[a - b for a, b in zip(r, s)] for r, s in rows])
+        return self._combine(other, True)
 
     def __neg__(self) -> "EndField":
-        return _end_field(self.m, [[-a for a in row] for row in self.entries])
+        return _end_field(EndField, self.m, [{j: -p for j, p in row.items()} for row in self.rows])
 
     def scaled(self, factor) -> "EndField":
         f = factor if isinstance(factor, Poly) else Poly.const(self.m, factor)
-        return EndField([[f * a for a in row] for row in self.entries])
+        if not f.terms:
+            return EndField.zero(self.m)
+        return _end_field(EndField, self.m, [{j: f * p for j, p in row.items()} for row in self.rows])
 
     def transpose(self) -> "EndField":
-        return _end_field(self.m, zip(*self.entries))
+        cols: list[dict[int, Poly]] = [{} for _ in range(self.m)]
+        for i, row in enumerate(self.rows):
+            for j, p in row.items():
+                cols[j][i] = p
+        return _end_field(EndField, self.m, cols)
 
     def apply(self, v: VectorField) -> VectorField:
         if self.m != v.m:
             raise ValueError("dimension mismatch")
-        return VectorField([dot(self.m, zip(row, v.components)) for row in self.entries])
+        comps = v.components
+        return VectorField(
+            [dot(self.m, ((p, comps[j]) for j, p in row.items())) for row in self.rows]
+        )
+
+    def first_asymmetry(self, sign: int = 1) -> tuple[int, int] | None:
+        """The first (i, j), i <= j in row-major order, whose entry differs
+        from ``sign`` times entry (j, i); None when there is none."""
+        rows = self.rows
+        found = [
+            (min(i, j), max(i, j))
+            for i, row in enumerate(rows)
+            for j, p in row.items()
+            if (q := rows[j].get(i)) is None or q != (p if sign > 0 else -p)
+        ]
+        return min(found, default=None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndField):
             return NotImplemented
-        return self.m == other.m and self.entries == other.entries
+        return self.m == other.m and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.m, self.entries))
+        return hash((self.m, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m})"
 
 
-def _end_field(m: int, rows) -> EndField:
-    """An EndField over rows of m entries, each already a Poly in m variables."""
-    out = EndField.__new__(EndField)
+def _end_field(cls, m: int, rows) -> EndField:
+    """A ``cls`` over m sparse rows: nonzero Polys in m variables, increasing columns."""
+    out = cls.__new__(cls)
     out.m = m
-    out.entries = tuple(map(tuple, rows))
+    out.rows = tuple(rows)
     return out
 
 
@@ -430,14 +484,19 @@ class Metric(EndField):
 
     def __init__(self, entries: Sequence[Sequence]):
         super().__init__(entries)
-        rows = self.entries
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"metric not symmetric at entry ({i}, {j})")
+        pair = self.first_asymmetry()
+        if pair is not None:
+            raise ValueError(f"metric not symmetric at entry {pair}")
 
     def evaluate(self, point: Sequence) -> linalg.Matrix:
-        return [[c.evaluate(point) for c in row] for row in self.entries]
+        if len(point) != self.m:
+            raise ValueError("point dimension mismatch")
+        point = [as_fraction(x) for x in point]
+        out = [[Fraction(0)] * self.m for _ in range(self.m)]
+        for i, row in enumerate(self.rows):
+            for j, p in row.items():
+                out[i][j] = p.evaluate(point)
+        return out
 
     def is_positive_definite_at(self, point: Sequence) -> bool:
         return _leading_minors_positive(self.evaluate(point))
@@ -448,11 +507,20 @@ class Metric(EndField):
 
 
 def _leading_minors_positive(mat: linalg.Matrix) -> bool:
-    n = len(mat)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in mat[:k]]
-        if linalg.det(sub) <= 0:
+    """Sylvester's criterion by one elimination without row exchanges.
+
+    The k-th pivot is D_k / D_(k-1), the ratio of consecutive leading
+    minors, so the first pivot <= 0 marks the first leading minor <= 0.
+    """
+    a = [list(row) for row in mat]
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        if pivot <= 0:
             return False
+        for row in a[k + 1 :]:
+            if row[k]:
+                f = Fraction(row[k]) / pivot
+                row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
     return True
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
-from .exterior import EndField, KForm, Metric, VectorField, exterior_derivative
+from .exterior import EndField, KForm, Metric, VectorField, _end_field, exterior_derivative
 from .poly import Poly, as_fraction, dot
 
 EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -143,15 +143,16 @@ class ThreeStructure:
 
 def outer_xi_eta(xi: VectorField, eta_comps: Sequence[Poly]) -> EndField:
     """The endomorphism eta (x) xi: X -> eta(X) xi."""
-    m = xi.m
-    return EndField([[xi.components[i] * eta_comps[j] for j in range(m)] for i in range(m)])
+    eta = [(j, e) for j, e in enumerate(eta_comps) if e.terms]
+    rows = [{j: x * e for j, e in eta} if x.terms else {} for x in xi.components]
+    return _end_field(EndField, xi.m, rows)
 
 
-def _first_entry_witness(rows: Sequence[Sequence[Poly]], label: str) -> str | None:
-    for i, row in enumerate(rows):
-        for j, p in enumerate(row):
-            if not p.is_zero():
-                return f"{label} entry ({i + 1},{j + 1}): {p.render()}"
+def _first_entry_witness(field: EndField, label: str) -> str | None:
+    """The first nonzero entry in row-major order."""
+    for i, row in enumerate(field.rows):
+        for j, p in row.items():
+            return f"{label} entry ({i + 1},{j + 1}): {p.render()}"
     return None
 
 
@@ -162,8 +163,8 @@ def _first_component_witness(comps: Sequence[Poly], label: str) -> str | None:
     return None
 
 
-def _matrix_item(name: str, diff_rows: Sequence[Sequence[Poly]]) -> CheckItem:
-    witness = _first_entry_witness(diff_rows, "residual")
+def _matrix_item(name: str, diff: EndField) -> CheckItem:
+    witness = _first_entry_witness(diff, "residual")
     return CheckItem(name, witness is None, witness)
 
 
@@ -183,20 +184,13 @@ def fundamental_form(s: AlmostContactMetricStructure) -> KForm:
     Antisymmetry of g.phi is a consequence of metric compatibility, so a
     failure means the input is not almost contact metric and raises.
     """
-    b = (s.g * s.phi).entries
-    m = s.m
-    for i in range(m):
-        for j in range(i, m):
-            if b[i][j] != -b[j][i]:
-                raise StructureError(
-                    f"fundamental form not antisymmetric at entry ({i + 1},{j + 1})"
-                )
-    terms = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not b[i][j].is_zero():
-                terms[(i, j)] = b[i][j]
-    return KForm(m, 2, terms)
+    b = s.g * s.phi
+    pair = b.first_asymmetry(-1)
+    if pair is not None:
+        i, j = pair
+        raise StructureError(f"fundamental form not antisymmetric at entry ({i + 1},{j + 1})")
+    terms = {(i, j): p for i, row in enumerate(b.rows) for j, p in row.items() if i < j}
+    return KForm(s.m, 2, terms)
 
 
 def _fundamental_form_or_none(s) -> tuple[KForm | None, CheckItem]:
@@ -217,12 +211,7 @@ def check_almost_contact(s: AlmostContactMetricStructure, label: str = "") -> Ch
     prefix = f"almost_contact{label}"
     phi2 = s.phi * s.phi
     expected = outer_xi_eta(s.xi, eta) - EndField.identity(m)
-    items = [
-        _matrix_item(
-            f"{prefix}.phi_squared",
-            (phi2 - expected).entries,
-        )
-    ]
+    items = [_matrix_item(f"{prefix}.phi_squared", phi2 - expected)]
     phi_xi = s.phi.apply(s.xi)
     witness = _first_component_witness(phi_xi.components, "phi(xi)")
     items.append(CheckItem(f"{prefix}.phi_xi_zero", witness is None, witness))
@@ -242,15 +231,9 @@ def check_almost_contact(s: AlmostContactMetricStructure, label: str = "") -> Ch
 
 def check_compatible(s: AlmostContactMetricStructure, label: str = "") -> CheckReport:
     """Metric compatibility g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y)."""
-    m = s.m
     eta = s.eta_components()
     lhs = s.phi.transpose() * s.g * s.phi
-    rhs_entries = [
-        [s.g.entries[i][j] - eta[i] * eta[j] for j in range(m)] for i in range(m)
-    ]
-    diff = [
-        [lhs.entries[i][j] - rhs_entries[i][j] for j in range(m)] for i in range(m)
-    ]
+    diff = lhs - (s.g - outer_xi_eta(VectorField(eta), eta))
     return CheckReport((_matrix_item(f"compatible{label}", diff),))
 
 
@@ -305,7 +288,7 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
         raise StructureError("tensor dimensions do not match")
     d_eta = exterior_derivative(eta)
     rows = phi.entries
-    grad = [[_gradient(p) for p in row] for row in rows]
+    grad = [[_gradient(p) if p.terms else {} for p in row] for row in rows]
     neg = [[{l: -d for l, d in g.items()} for g in row] for row in grad]
     zero = Poly.zero(m)
     n_phi: dict[tuple[int, int], VectorField] = {}
@@ -347,9 +330,9 @@ def check_quaternionic(t: ThreeStructure) -> CheckReport:
         eta_c = VectorField(sc.eta_components())
         tag = f"quaternionic[{a}{b}{c}]"
         diff = sc.phi - (sa.phi * sb.phi - outer_xi_eta(sa.xi, eta_b))
-        items.append(_matrix_item(f"{tag}.phi_c_eq_phi_a_phi_b", diff.entries))
+        items.append(_matrix_item(f"{tag}.phi_c_eq_phi_a_phi_b", diff))
         diff = sc.phi - (-(sb.phi * sa.phi) + outer_xi_eta(sb.xi, eta_a))
-        items.append(_matrix_item(f"{tag}.phi_c_eq_minus_phi_b_phi_a", diff.entries))
+        items.append(_matrix_item(f"{tag}.phi_c_eq_minus_phi_b_phi_a", diff))
         vec = sc.xi - sa.phi.apply(sb.xi)
         witness = _first_component_witness(vec.components, "xi residual")
         items.append(CheckItem(f"{tag}.xi_c_eq_phi_a_xi_b", witness is None, witness))
@@ -456,21 +439,13 @@ def d_homothetic_deform(t: ThreeStructure, a) -> ThreeStructure:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("deformation parameter must be positive")
-    m = t.m
     inv_a = 1 / a
-    coeff = a * (a - 1)
-    correction = [[Poly.zero(m) for _ in range(m)] for _ in range(m)]
-    for alpha in (1, 2, 3):
-        eta = t.structure(alpha).eta_components()
-        for i in range(m):
-            for j in range(m):
-                correction[i][j] = correction[i][j] + eta[i] * eta[j] * coeff
-    new_g = Metric(
-        [
-            [t.g.entries[i][j] * a + correction[i][j] for j in range(m)]
-            for i in range(m)
-        ]
-    )
+    correction = EndField.zero(t.m)
+    for s in t.structures:
+        eta = s.eta_components()
+        correction = correction + outer_xi_eta(VectorField(eta), eta)
+    # Symmetric by construction: g is, and so is each eta (x) eta.
+    new_g = _end_field(Metric, t.m, (t.g.scaled(a) + correction.scaled(a * (a - 1))).rows)
     new_structures = []
     for alpha in (1, 2, 3):
         s = t.structure(alpha)

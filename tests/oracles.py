@@ -342,3 +342,35 @@ def poly_diff(t, index):
             lowered = expo[:index] + (expo[index] - 1,) + expo[index + 1 :]
             out[lowered] = Fraction(c) * expo[index]
     return out
+
+
+def leading_minors_positive(mat):
+    """Sylvester's criterion the long way: every leading minor, each its own det."""
+    return all(det([row[:k] for row in mat[:k]]) > 0 for k in range(1, len(mat) + 1))
+
+
+# Endomorphism fields as dense m x m lists of term dicts, every entry stored,
+# zeros as empty dicts.
+
+
+def dense_mul(a, b):
+    m = len(a)
+    return [[poly_dot((a[i][k], b[k][j]) for k in range(m)) for j in range(m)] for i in range(m)]
+
+
+def dense_add(a, b, sign=1):
+    return [[poly_add(x, y, sign) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def dense_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def dense_apply(a, v):
+    return [poly_dot(zip(row, v)) for row in a]
+
+
+def first_asymmetric_pair(a):
+    """The first (i, j), i < j, in row-major order with a[i][j] != a[j][i]."""
+    m = len(a)
+    return next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] != a[j][i]), None)

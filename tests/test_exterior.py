@@ -1,4 +1,5 @@
 import random
+import re
 import threading
 from fractions import Fraction
 from itertools import combinations
@@ -321,6 +322,125 @@ def test_endfield_block_diag_and_apply():
     v = VectorField([Poly.const(3, 1), Poly.const(3, 0), Poly.const(3, 5)])
     out = big.apply(v)
     assert [c.constant_value() for c in out.components] == [0, 1, 10]
+
+
+def _dense(f: EndField):
+    """The oracles' view of a field: an m x m list of term dicts."""
+    return [[dict(p.terms) for p in row] for row in f.entries]
+
+
+def _assert_rows_canonical(f: EndField):
+    """No row stores a zero Poly, and every row's columns increase."""
+    assert len(f.rows) == f.m
+    for row in f.rows:
+        assert list(row) == sorted(row)
+        assert all(type(p) is Poly and p.terms and p.nvars == f.m for p in row.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 11))
+def test_sparse_endfield_matches_dense_oracle(seed, m):
+    rng = random.Random(seed)
+    a, b = _sparse_end_field(rng, m), _sparse_end_field(rng, m)
+    factor = randgen.poly(rng, m)
+    v = randgen.vector_field(rng, m)
+    x, y = _dense(a), _dense(b)
+    cases = [
+        (a * b, oracles.dense_mul(x, y)),
+        (a + b, oracles.dense_add(x, y)),
+        (a - b, oracles.dense_add(x, y, -1)),
+        (-a, oracles.dense_add([[{}] * m] * m, x, -1)),
+        (a.transpose(), oracles.dense_transpose(x)),
+        (a.scaled(factor), [[oracles.poly_mul(factor.terms, p) for p in row] for row in x]),
+    ]
+    for result, expected in cases:
+        assert type(result) is EndField
+        _assert_rows_canonical(result)
+        assert _dense(result) == expected
+    comps = [dict(c.terms) for c in v.components]
+    assert [dict(c.terms) for c in a.apply(v).components] == oracles.dense_apply(x, comps)
+    constant = EndField([[p if p.is_constant() else 0 for p in row] for row in a.entries])
+    zero = (0,) * m
+    assert constant.to_fractions() == [[p.terms.get(zero, 0) for p in row] for row in constant.entries]
+    assert all(type(c) in (int, Fraction) for row in constant.to_fractions() for c in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 11))
+def test_sparse_endfield_equality_hash_and_entries_round_trip(seed, m):
+    rng = random.Random(seed)
+    a, b = _sparse_end_field(rng, m), _sparse_end_field(rng, m)
+    _assert_rows_canonical(a)
+    same = [
+        EndField(a.entries),
+        (a + b) - b,
+        -(b - (a + b)),
+        a.transpose().transpose(),
+        a * EndField.identity(m),
+        EndField.identity(m) * a,
+        a.scaled(1),
+    ]
+    for other in same:
+        _assert_rows_canonical(other)
+        assert other == a and hash(other) == hash(a)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a.entries == EndField(a.entries).entries
+    assert all(type(row) is tuple and len(row) == m for row in a.entries)
+    assert (a == b) == (_dense(a) == _dense(b))
+
+
+def test_metric_constructors_keep_the_metric_type():
+    blocks = (Metric.identity(4), Metric.zero(2), Metric.from_fractions([[2, 1], [1, 2]]))
+    assert all(type(g) is Metric for g in blocks)
+    big = Metric.block_diag(*blocks)
+    assert type(big) is Metric and big.m == 8
+    assert big.to_fractions()[6][7] == 1 and big.to_fractions()[5][5] == 0
+    assert type(EndField.identity(3)) is EndField and type(EndField.zero(3)) is EndField
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 11))
+def test_metric_asymmetry_error_names_the_first_dense_pair(seed, m):
+    rng = random.Random(seed)
+    sym = _sparse_end_field(rng, m)
+    entries = [list(row) for row in (sym + sym.transpose()).entries]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        entries[i][j] = entries[i][j] + randgen.poly(rng, m)
+    pair = oracles.first_asymmetric_pair([[dict(p.terms) for p in row] for row in entries])
+    if pair is None:
+        assert Metric(entries) == EndField(entries)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"not symmetric at entry {pair}")):
+            Metric(entries)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices: arbitrary ones, and L D L^T with a unit
+    lower L, whose pivots are D, so that zero, negative and positive pivots,
+    singular matrices and zero corners all come up."""
+    m = draw(st.integers(1, 6))
+    values = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+    kind = draw(st.sampled_from(["arbitrary", "ldl", "positive"]))
+    if kind == "arbitrary":
+        upper = {(i, j): draw(values) for i in range(m) for j in range(i, m)}
+        return [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    pivots = [draw(values.filter(lambda d: d > 0) if kind == "positive" else values) for _ in range(m)]
+    lower = [[Fraction(1) if i == j else draw(values) if j < i else 0 for j in range(m)] for i in range(m)]
+    return [
+        [sum(lower[i][k] * pivots[k] * lower[j][k] for k in range(m)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definiteness_matches_all_minors_oracle(mat):
+    expected = oracles.leading_minors_positive(mat)
+    g = Metric.from_fractions(mat)
+    assert g.is_positive_definite() is expected
+    assert g.is_positive_definite_at([0] * g.m) is expected
 
 
 coeffs = st.integers(-3, 3)
