@@ -94,9 +94,9 @@ def polynomial_metric11() -> ThreeStructure:
     """standard11 with a seeded non-diagonal polynomial metric and seeded phi_1.
 
     Every change lies in rows and columns 5 to 11, so each failing matrix
-    residual has its first entry in row-major order past (4,4), behind other
-    nonzero entries in column-major order: the goldens pin the scan order of
-    the witnesses.
+    residual has its first entry in row-major order past (4,4), and some
+    residuals have other nonzero entries first in column-major order: the
+    goldens pin the scan order of the witnesses.
     """
     _, t = euclidean_space(2)
     m = t.m
