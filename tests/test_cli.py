@@ -384,3 +384,17 @@ def test_structure_file_rejects_floats_and_booleans(tmp_path, capsys, name, path
     code, out, stderr = run(capsys, "check", "--input", str(model))
     assert (code, out) == (EXIT_USAGE, "")
     assert stderr.startswith(f"cosym3: error: {err}")
+
+
+@pytest.mark.parametrize("name", ["torus7", "m7f"], ids=["torus", "mapping_torus"])
+def test_compact_topology_rejects_a_polynomial_metric_entry(tmp_path, capsys, name):
+    # One diagonal metric entry becomes 1 + x2, so the metric stays symmetric.
+    data = structure_file_dict(*builtin(name))
+    assert data["topology"]["type"] == ("torus" if name == "torus7" else "mapping_torus")
+    data["metric"][0][0] = [{"c": "1", "e": [0] * 7}, {"c": "1", "e": [0, 1] + [0] * 5}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    code, out, stderr = run(capsys, "check", "--input", str(model))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert stderr.startswith("cosym3: error: torus and mapping_torus models require")
+    assert "(polynomials are not periodic)" in stderr
