@@ -232,21 +232,16 @@ def parse_structure_file(
         topo = Topology(kind)
     else:
         raise StructureFileError(f"unknown topology type {kind!r}")
-    if topo.compact:
-        constant = metric.is_constant() and all(
-            s.phi.is_constant() and s.xi.is_constant() and s.eta.is_constant()
-            for s in structures
-        )
-        if not constant:
-            raise StructureFileError(
-                "torus and mapping_torus models require constant coefficients "
-                "(polynomials are not periodic)"
-            )
     try:
         space = ModelSpace(dim, tuple(coords), topo)
         t = ThreeStructure(structures)
     except (ValueError, StructureError) as exc:
         raise StructureFileError(str(exc)) from exc
+    if topo.compact and not t.constant:
+        raise StructureFileError(
+            "torus and mapping_torus models require constant coefficients "
+            "(polynomials are not periodic)"
+        )
     return space, t
 
 

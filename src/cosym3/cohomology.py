@@ -27,6 +27,7 @@ from .exterior import (
     form_vector,
     interior_product,
     monomial_images,
+    sparse_contract,
     sparse_wedge,
 )
 from .models import DEFAULT_ORDER_BOUND, ModelSpace
@@ -56,15 +57,6 @@ def eps_label(eps: tuple[int, int, int]) -> str:
 
 def monomial_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(m), k))
-
-
-def _contract(xi: dict[int, linalg.Entry], v: linalg.SparseVector) -> linalg.SparseVector:
-    return linalg.sparse_sum(
-        (key[:pos] + key[pos + 1 :], -xi[idx] * c if pos % 2 else xi[idx] * c)
-        for key, c in v.items()
-        for pos, idx in enumerate(key)
-        if idx in xi
-    )
 
 
 def _eta_xi(t: ThreeStructure, alpha: int):
@@ -267,7 +259,7 @@ def small_operators(
                 images = [sparse_wedge(eta, v) for v in vectors]
                 l_blocks[k] = operator_block(images, bases[k + 1], f"l{alpha}", k)
             if k > 0:
-                images = [_contract(xi, v) for v in vectors]
+                images = [sparse_contract(xi, v) for v in vectors]
                 lam_blocks[k] = operator_block(images, bases[k - 1], f"lambda{alpha}", k)
         e_blocks = {
             k: linalg.sparse_product(l_blocks[k - 1], lam_blocks[k]) if k else {} for k in range(m + 1)
@@ -375,7 +367,7 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
                 f"(0,0,0) component dimension {len(comp)} at degree {k}"
             )
         # Constant forms are closed, so basic means every i_xi_alpha kills it.
-        if any(_contract(xi, v) for v in comp.vectors for xi in xis):
+        if any(sparse_contract(xi, v) for v in comp.vectors for xi in xis):
             raise CohomologyError(f"a (0,0,0) component basis form of degree {k} is not basic")
     return HarmonicTable(m, spans, b, bh)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -79,28 +80,21 @@ class KForm:
     def __init__(self, m: int, degree: int, terms: Mapping | None = None):
         if m < 0 or degree < 0:
             raise ValueError("chart dimension and degree must be non-negative")
-        clean: dict[IndexTuple, Poly] = {}
-        if terms:
-            for key, value in terms.items():
-                key = tuple(key)
-                if len(key) != degree:
-                    raise ValueError(f"index tuple {key} has length != degree {degree}")
-                if any(not 0 <= i < m for i in key):
-                    raise ValueError(f"index out of range in {key}")
-                sorted_key, sign = sort_with_sign(key)
-                if sign == 0:
-                    continue
-                p = as_poly(value, m) if not isinstance(value, Poly) else value
-                if p.nvars != m:
-                    raise ValueError("coefficient over wrong variable count")
-                if sign < 0:
-                    p = -p
-                if sorted_key in clean:
-                    p = clean[sorted_key] + p
-                if p.is_zero():
-                    clean.pop(sorted_key, None)
-                else:
-                    clean[sorted_key] = p
+        signed = []
+        for key, value in (terms or {}).items():
+            key = tuple(key)
+            if len(key) != degree:
+                raise ValueError(f"index tuple {key} has length != degree {degree}")
+            if any(not 0 <= i < m for i in key):
+                raise ValueError(f"index out of range in {key}")
+            sorted_key, sign = sort_with_sign(key)
+            if sign == 0:
+                continue
+            p = as_poly(value, m) if not isinstance(value, Poly) else value
+            if p.nvars != m:
+                raise ValueError("coefficient over wrong variable count")
+            signed.append((sorted_key, p if sign > 0 else -p))
+        clean = linalg.sparse_sum(signed)
         if degree > m and clean:
             raise ValueError(f"non-zero form of degree {degree} > dimension {m}")
         self.m = m
@@ -110,18 +104,13 @@ class KForm:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int, degree: int) -> "KForm":
-        return cls(m, degree)
-
-    @classmethod
     def constant(cls, m: int, value) -> "KForm":
         """Degree-0 form with a constant coefficient."""
-        p = Poly.const(m, value)
-        return cls(m, 0, {(): p} if not p.is_zero() else None)
+        return cls(m, 0, {(): Poly.const(m, value)})
 
     @classmethod
     def function(cls, m: int, p: Poly) -> "KForm":
-        return cls(m, 0, {(): p} if not p.is_zero() else None)
+        return cls(m, 0, {(): p})
 
     @classmethod
     def coordinate(cls, m: int, index: int) -> "KForm":
@@ -143,46 +132,25 @@ class KForm:
 
     def coefficient(self, indices) -> Poly:
         key, sign = sort_with_sign(tuple(indices))
-        if sign == 0:
-            return Poly.zero(self.m)
-        p = self.terms.get(key)
+        p = self.terms.get(key) if sign else None
         if p is None:
             return Poly.zero(self.m)
         return p if sign > 0 else -p
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, p in other.terms.items():
-            q = terms.get(key)
-            total = p if q is None else q + p
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        out = KForm.__new__(KForm)
-        out.m, out.degree, out.terms = self.m, self.degree, terms
-        return out
+        terms = linalg.sparse_sum(chain(self.terms.items(), other.terms.items()))
+        return _form(self.m, self.degree, terms)
 
     def __neg__(self) -> "KForm":
-        out = KForm.__new__(KForm)
-        out.m, out.degree = self.m, self.degree
-        out.terms = {key: -p for key, p in self.terms.items()}
-        return out
+        return _form(self.m, self.degree, {key: -p for key, p in self.terms.items()})
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def scaled(self, factor) -> "KForm":
         f = factor if isinstance(factor, Poly) else Poly.const(self.m, factor)
-        terms = {}
-        for key, p in self.terms.items():
-            q = f * p
-            if not q.is_zero():
-                terms[key] = q
-        out = KForm.__new__(KForm)
-        out.m, out.degree, out.terms = self.m, self.degree, terms
-        return out
+        return _form(self.m, self.degree, {key: q for key, p in self.terms.items() if (q := f * p)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -226,6 +194,13 @@ class KForm:
         return f"KForm({self.render()})"
 
 
+def _form(m: int, degree: int, terms: dict) -> KForm:
+    """A KForm over terms already valid: increasing keys, nonzero Polys in m variables."""
+    out = KForm.__new__(KForm)
+    out.m, out.degree, out.terms = m, degree, terms
+    return out
+
+
 class VectorField:
     """Vector field given by one Poly component per coordinate."""
 
@@ -247,12 +222,8 @@ class VectorField:
     def coordinate(cls, m: int, index: int) -> "VectorField":
         return cls([Poly.const(m, 1 if i == index else 0) for i in range(m)])
 
-    @classmethod
-    def zero(cls, m: int) -> "VectorField":
-        return cls([Poly.zero(m)] * m)
-
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not any(self.components)
 
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
@@ -260,19 +231,19 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.m != other.m:
             raise ValueError("vector fields on different charts")
-        return VectorField([a + b for a, b in zip(self.components, other.components)])
+        return _vector_field(self.m, (a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         if self.m != other.m:
             raise ValueError("vector fields on different charts")
-        return VectorField([a - b for a, b in zip(self.components, other.components)])
+        return _vector_field(self.m, (a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "VectorField":
-        return VectorField([-a for a in self.components])
+        return _vector_field(self.m, (-a for a in self.components))
 
     def scaled(self, factor) -> "VectorField":
         f = factor if isinstance(factor, Poly) else Poly.const(self.m, factor)
-        return VectorField([f * a for a in self.components])
+        return _vector_field(self.m, (f * a for a in self.components))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -294,6 +265,13 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.render()})"
+
+
+def _vector_field(m: int, comps) -> VectorField:
+    """A VectorField over m components already Polys in m variables."""
+    out = VectorField.__new__(VectorField)
+    out.m, out.components = m, tuple(comps)
+    return out
 
 
 class EndField:
@@ -420,9 +398,8 @@ class EndField:
 
     def scaled(self, factor) -> "EndField":
         f = factor if isinstance(factor, Poly) else Poly.const(self.m, factor)
-        if not f.terms:
-            return EndField.zero(self.m)
-        return _end_field(EndField, self.m, [{j: f * p for j, p in row.items()} for row in self.rows])
+        rows = [{j: q for j, p in row.items() if (q := f * p)} for row in self.rows]
+        return _end_field(EndField, self.m, rows)
 
     def transpose(self) -> "EndField":
         cols: list[dict[int, Poly]] = [{} for _ in range(self.m)]
@@ -435,8 +412,8 @@ class EndField:
         if self.m != v.m:
             raise ValueError("dimension mismatch")
         comps = v.components
-        return VectorField(
-            [dot(self.m, ((p, comps[j]) for j, p in row.items())) for row in self.rows]
+        return _vector_field(
+            self.m, (dot(self.m, ((p, comps[j]) for j, p in row.items())) for row in self.rows)
         )
 
     def first_asymmetry(self, sign: int = 1) -> tuple[int, int] | None:
@@ -527,57 +504,45 @@ def _leading_minors_positive(mat: linalg.Matrix) -> bool:
 # -- core operations --------------------------------------------------------
 
 
+def sparse_wedge(a: dict, b: dict) -> dict:
+    """Wedge of forms kept as dicts from increasing index tuples to nonzero
+    coefficients, each an entry or a Poly.  Above the top degree every merged
+    key repeats an index, so the result is empty."""
+    terms = ((_merge(ka, kb), x * y) for ka, x in a.items() for kb, y in b.items())
+    return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
+
+
+def sparse_contract(xi: dict, v: dict) -> dict:
+    """i_X of a form kept as in ``sparse_wedge``; X maps each index to its
+    nonzero component, an entry or a Poly."""
+    return linalg.sparse_sum(
+        (key[:pos] + key[pos + 1 :], -xi[idx] * c if pos % 2 else xi[idx] * c)
+        for key, c in v.items()
+        for pos, idx in enumerate(key)
+        if idx in xi
+    )
+
+
 def wedge(alpha: KForm, beta: KForm) -> KForm:
     """Exterior product; graded-commutative and bilinear."""
     if alpha.m != beta.m:
         raise ValueError("forms on charts of different dimension")
-    m = alpha.m
-    degree = alpha.degree + beta.degree
-    if degree > m:
-        return KForm(m, degree)
-    terms: dict[IndexTuple, Poly] = {}
-    for ka, pa in alpha.terms.items():
-        for kb, pb in beta.terms.items():
-            key, sign = _merge(ka, kb)
-            if sign == 0:
-                continue
-            p = pa * pb
-            if sign < 0:
-                p = -p
-            q = terms.get(key)
-            total = p if q is None else q + p
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    out = KForm.__new__(KForm)
-    out.m, out.degree, out.terms = m, degree, terms
-    return out
+    return _form(alpha.m, alpha.degree + beta.degree, sparse_wedge(alpha.terms, beta.terms))
 
 
 def exterior_derivative(omega: KForm) -> KForm:
     """d on polynomial-coefficient forms: linear, d(d(.)) = 0, graded Leibniz."""
-    m = omega.m
-    result = KForm(m, omega.degree + 1)
-    terms: dict[IndexTuple, Poly] = {}
-    for key, p in omega.terms.items():
-        for j in range(m):
-            dp = p.diff(j)
-            if dp.is_zero():
-                continue
-            new_key, sign = _merge((j,), key)
-            if sign == 0:
-                continue
-            if sign < 0:
-                dp = -dp
-            q = terms.get(new_key)
-            total = dp if q is None else q + dp
-            if total.is_zero():
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = total
-    result.terms = terms
-    return result
+    terms = (
+        (_merge((j,), key), dp)
+        for key, p in omega.terms.items()
+        for j in range(omega.m)
+        if (dp := p.diff(j))
+    )
+    return _form(
+        omega.m,
+        omega.degree + 1,
+        linalg.sparse_sum((key, dp if sign > 0 else -dp) for (key, sign), dp in terms if sign),
+    )
 
 
 def interior_product(x: VectorField, omega: KForm) -> KForm:
@@ -586,26 +551,8 @@ def interior_product(x: VectorField, omega: KForm) -> KForm:
         raise ValueError("vector field and form on different charts")
     if omega.degree == 0:
         raise ValueError("cannot contract a degree-0 form")
-    m = omega.m
-    terms: dict[IndexTuple, Poly] = {}
-    for key, p in omega.terms.items():
-        for pos, idx in enumerate(key):
-            comp = x.components[idx]
-            if comp.is_zero():
-                continue
-            q = comp * p
-            if pos % 2:
-                q = -q
-            new_key = key[:pos] + key[pos + 1 :]
-            acc = terms.get(new_key)
-            total = q if acc is None else acc + q
-            if total.is_zero():
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = total
-    out = KForm.__new__(KForm)
-    out.m, out.degree, out.terms = m, omega.degree - 1, terms
-    return out
+    xi = {i: c for i, c in enumerate(x.components) if c}
+    return _form(omega.m, omega.degree - 1, sparse_contract(xi, omega.terms))
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -613,14 +560,12 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     if x.m != y.m:
         raise ValueError("vector fields on different charts")
     m = x.m
-    comps = []
-    for i in range(m):
-        total = Poly.zero(m)
-        for j in range(m):
-            total = total + x.components[j] * y.components[i].diff(j)
-            total = total - y.components[j] * x.components[i].diff(j)
-        comps.append(total)
-    return VectorField(comps)
+    comps = [
+        dot(m, ((xj, yi.diff(j)) for j, xj in enumerate(x.components)))
+        - dot(m, ((yj, xi.diff(j)) for j, yj in enumerate(y.components)))
+        for xi, yi in zip(x.components, y.components)
+    ]
+    return _vector_field(m, comps)
 
 
 # -- constant forms as sparse vectors -----------------------------------------
@@ -631,12 +576,6 @@ def form_vector(omega: KForm) -> linalg.SparseVector:
     if not omega.is_constant():
         raise ValueError("only constant forms can be coordinatized")
     return {key: p.constant_value() for key, p in omega.terms.items()}
-
-
-def sparse_wedge(a: linalg.SparseVector, b: linalg.SparseVector) -> linalg.SparseVector:
-    """Wedge of constant forms kept as dicts from index tuples to entries."""
-    terms = ((_merge(ka, kb), x * y) for ka, x in a.items() for kb, y in b.items())
-    return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
 
 
 class _Pullback:

@@ -150,7 +150,11 @@ def add_scaled(v: SparseVector, c: Entry, w: SparseVector) -> None:
 
 
 def sparse_sum(terms) -> SparseVector:
-    """The sum of (key, value) pairs as a sparse vector."""
+    """The sum of (key, value) pairs as a sparse vector.
+
+    A value may be an entry or a ``Poly``: both add to ``0`` and are false
+    exactly when zero, so the sums that cancel are dropped either way.
+    """
     out: SparseVector = {}
     for key, x in terms:
         out[key] = out.get(key, 0) + x
@@ -287,9 +291,10 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    res = solve_many(a, identity(n))
-    if res is None or rank(a) != n:
+    """a^-1 from one elimination: a square ``a`` with a solution of a X = I
+    has full rank."""
+    res = solve_many(a, identity(len(a)))
+    if res is None:
         raise ValueError("matrix is singular")
     return res
 

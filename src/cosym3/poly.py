@@ -113,6 +113,10 @@ class Poly:
 
     # -- predicates --------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for an entry, so ``linalg.sparse_sum`` adds Polys too."""
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

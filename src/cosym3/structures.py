@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
-from .exterior import EndField, KForm, Metric, VectorField, _end_field, exterior_derivative
+from .exterior import (
+    EndField, KForm, Metric, VectorField, _end_field, _vector_field, exterior_derivative
+)
 from .poly import Poly, as_fraction, dot
 
 EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -311,13 +313,16 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
                 else zero
                 for k in range(m)
             ]
-            value = VectorField(comps)
-            if not value.is_zero():
+            value = _vector_field(m, comps)
+            nonzero = any(comps)
+            if nonzero:
                 n_phi[(i, j)] = value
-            correction = d_eta.coefficient((i, j))
-            normal = value if correction.is_zero() else value + xi.scaled(correction * 2)
-            if not normal.is_zero():
-                n_one[(i, j)] = normal
+            correction = d_eta.terms.get((i, j))
+            if correction is not None:
+                value = value + xi.scaled(correction * 2)
+                nonzero = any(value.components)
+            if nonzero:
+                n_one[(i, j)] = value
     return NijenhuisResult(m, n_phi, n_one)
 
 

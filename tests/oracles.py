@@ -374,3 +374,88 @@ def first_asymmetric_pair(a):
     """The first (i, j), i < j, in row-major order with a[i][j] != a[j][i]."""
     m = len(a)
     return next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] != a[j][i]), None)
+
+
+# Polynomial forms as dicts {increasing index tuple: term dict}: the per-term
+# loops that built KForm results before they called the shared sparse
+# kernels.  Each product is added into its key as it is made, and the key is
+# dropped when its sum cancels.
+
+
+def _add_into(out, key, sign, terms):
+    """out[key] += sign * terms, dropping the key when the sum cancels."""
+    total = poly_add(out.get(key, {}), terms, sign)
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def _sorted_sign(key):
+    """The sorted index tuple and its permutation sign, 0 on a repeated index."""
+    return tuple(sorted(key)), perm_sign(key) if len(set(key)) == len(key) else 0
+
+
+def form_normalize(pairs):
+    """The form of (index tuple, term dict) pairs given in any index order."""
+    out = {}
+    for key, terms in pairs:
+        key, sign = _sorted_sign(key)
+        if sign:
+            _add_into(out, key, sign, terms)
+    return out
+
+
+def form_add(a, b, sign=1):
+    """a + sign * b."""
+    out = dict(a)
+    for key, terms in b.items():
+        _add_into(out, key, sign, terms)
+    return out
+
+
+def form_scale(a, factor):
+    return {key: p for key, terms in a.items() if (p := poly_mul(factor, terms))}
+
+
+def form_wedge(a, b):
+    out = {}
+    for ka, ta in a.items():
+        for kb, tb in b.items():
+            key, sign = _sorted_sign(ka + kb)
+            if sign:
+                _add_into(out, key, sign, poly_mul(ta, tb))
+    return out
+
+
+def form_d(a, m):
+    """d a = sum over j of dx_j ^ (d_j a)."""
+    out = {}
+    for key, terms in a.items():
+        for j in range(m):
+            new_key, sign = _sorted_sign((j,) + key)
+            if sign:
+                _add_into(out, new_key, sign, poly_diff(terms, j))
+    return out
+
+
+def form_contract(x, a):
+    """i_X a for X given as a list of term dicts, one per coordinate."""
+    out = {}
+    for key, terms in a.items():
+        for pos, idx in enumerate(key):
+            sign = -1 if pos % 2 else 1
+            _add_into(out, key[:pos] + key[pos + 1 :], sign, poly_mul(x[idx], terms))
+    return out
+
+
+def lie_bracket(x, y):
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) for lists of term dicts."""
+    out = []
+    for xi, yi in zip(x, y):
+        total = {}
+        for j, (xj, yj) in enumerate(zip(x, y)):
+            total = poly_add(total, poly_mul(xj, poly_diff(yi, j)))
+            total = poly_add(total, poly_mul(yj, poly_diff(xi, j)), -1)
+        out.append(total)
+    return out

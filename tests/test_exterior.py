@@ -23,7 +23,14 @@ from cosym3 import (
     wedge,
 )
 from cosym3.cohomology import pullback_matrix
-from cosym3.exterior import _merge, complement_sign, monomial_images, sort_with_sign
+from cosym3.exterior import (
+    _merge,
+    complement_sign,
+    monomial_images,
+    sort_with_sign,
+    sparse_contract,
+    sparse_wedge,
+)
 from cosym3.poly import Poly
 
 import oracles
@@ -551,3 +558,169 @@ def test_threads_sharing_one_hodge_operator_get_serial_results():
     for thread in threads:
         thread.join()
     assert results == [dict(enumerate(serial))] * 2
+
+
+# -- forms against the per-term loops of oracles.py ----------------------------
+
+
+def _terms(form: KForm) -> dict:
+    """The oracles' view of a form: {index tuple: term dict}."""
+    return {key: dict(p.terms) for key, p in form.terms.items()}
+
+
+def _assert_form_canonical(form: KForm, m: int, degree: int):
+    """Strictly increasing keys, no zero Poly, coefficients int when integral."""
+    assert type(form) is KForm and (form.m, form.degree) == (m, degree)
+    for key, p in form.terms.items():
+        assert len(key) == degree and all(a < b for a, b in zip(key, key[1:]))
+        assert type(p) is Poly and p.nvars == m and p.terms
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            for c in p.terms.values()
+        )
+
+
+def _raw_form_terms(rng: random.Random, m: int, degree: int, n: int) -> dict:
+    """Up to n coefficients keyed by index tuples in any order.
+
+    Some keys repeat an index (every key does above degree m), some
+    coefficients are plain fractions, and some keys permute an earlier key
+    with a coefficient that cancels it.
+    """
+    terms = {}
+    for _ in range(rng.randint(0, n)):
+        if degree > m:
+            key = [rng.randrange(m) for _ in range(degree)]
+        else:
+            key = rng.sample(range(m), degree)
+        if degree > 1 and rng.random() < 0.2:
+            key[0] = key[-1]
+        p = randgen.fraction(rng) if rng.random() < 0.2 else randgen.poly(rng, m)
+        terms[tuple(key)] = p
+        if len(set(key)) == degree > 1 and rng.random() < 0.4:
+            twin = key[:]
+            while twin == key:
+                rng.shuffle(twin)
+            terms[tuple(twin)] = -p * oracles.perm_sign(key) * oracles.perm_sign(twin)
+    return terms
+
+
+def _as_terms(value, m: int) -> dict:
+    if isinstance(value, Poly):
+        return dict(value.terms)
+    return {(0,) * m: Fraction(value)} if value else {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_kform_constructor_matches_per_term_oracle(seed, m):
+    rng = random.Random(seed)
+    degree = rng.randint(0, m + 1)
+    raw = _raw_form_terms(rng, m, degree, 5)
+    form = KForm(m, degree, raw)
+    _assert_form_canonical(form, m, degree)
+    assert _terms(form) == oracles.form_normalize((k, _as_terms(v, m)) for k, v in raw.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_wedge_and_d_match_per_term_oracle(seed, m):
+    rng = random.Random(seed)
+    da, db = rng.randint(0, m), rng.randint(0, m)
+    a = KForm(m, da, _raw_form_terms(rng, m, da, 3))
+    b = KForm(m, db, _raw_form_terms(rng, m, db, 3))
+    ta, tb = _terms(a), _terms(b)
+    cases = [
+        (wedge(a, b), oracles.form_wedge(ta, tb), da + db),
+        # a ^ a cancels pairwise for odd degree, and so does d(d a).
+        (wedge(a, a), oracles.form_wedge(ta, ta), 2 * da),
+        (exterior_derivative(a), oracles.form_d(ta, m), da + 1),
+        (exterior_derivative(exterior_derivative(a)), {}, da + 2),
+    ]
+    for result, expected, degree in cases:
+        _assert_form_canonical(result, m, degree)
+        assert _terms(result) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_interior_product_matches_per_term_oracle(seed, m):
+    rng = random.Random(seed)
+    degree = rng.randint(1, m)
+    a = KForm(m, degree, _raw_form_terms(rng, m, degree, 4))
+    x = randgen.vector_field(rng, m)
+    comps = [dict(c.terms) for c in x.components]
+    once = interior_product(x, a)
+    _assert_form_canonical(once, m, degree - 1)
+    assert _terms(once) == oracles.form_contract(comps, _terms(a))
+    if degree > 1:
+        twice = interior_product(x, once)
+        _assert_form_canonical(twice, m, degree - 2)
+        assert _terms(twice) == oracles.form_contract(comps, _terms(once)) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_sparse_kernels_on_entries_match_per_term_oracle(seed, m):
+    # Constant forms: entries in place of Polys, each entry c read by the
+    # oracle as the term dict {(): c} of a polynomial in no variables.
+    rng = random.Random(seed)
+    da, db = rng.randint(1, m), rng.randint(0, m)
+    a = {k: p.constant_value() for k, p in randgen.form(rng, m, da, 4, constant=True).terms.items()}
+    b = {k: p.constant_value() for k, p in randgen.form(rng, m, db, 4, constant=True).terms.items()}
+    xi = {i: c for i in range(m) if (c := randgen.fraction(rng))}
+
+    def entries(d):
+        return {key: {(): Fraction(c)} for key, c in d.items()}
+
+    assert entries(sparse_wedge(a, b)) == oracles.form_wedge(entries(a), entries(b))
+    expected = oracles.form_contract([{(): Fraction(xi[i])} if i in xi else {} for i in range(m)], entries(a))
+    assert entries(sparse_contract(xi, a)) == expected
+    assert all(sparse_wedge(a, b).values()) and all(sparse_contract(xi, a).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_sum_difference_and_scaled_match_per_term_oracle(seed, m):
+    rng = random.Random(seed)
+    degree = rng.randint(0, m)
+    a = KForm(m, degree, _raw_form_terms(rng, m, degree, 4))
+    # b repeats a's keys, half of them with a's coefficient negated, so that
+    # a + b cancels there.
+    shared = {k: -p if rng.random() < 0.5 else randgen.poly(rng, m) for k, p in a.terms.items()}
+    b = KForm(m, degree, {**_raw_form_terms(rng, m, degree, 2), **shared})
+    factor = randgen.poly(rng, m)
+    ta, tb = _terms(a), _terms(b)
+    cases = [
+        (a + b, oracles.form_add(ta, tb)),
+        (a - b, oracles.form_add(ta, tb, -1)),
+        (a - a, {}),
+        (-a, oracles.form_add({}, ta, -1)),
+        (a.scaled(factor), oracles.form_scale(ta, dict(factor.terms))),
+        (a.scaled(Fraction(-2, 3)), oracles.form_scale(ta, {(0,) * m: Fraction(-2, 3)})),
+    ]
+    for result, expected in cases:
+        _assert_form_canonical(result, m, degree)
+        assert _terms(result) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_lie_bracket_matches_per_term_oracle(seed, m):
+    rng = random.Random(seed)
+    x, y = randgen.vector_field(rng, m), randgen.vector_field(rng, m)
+    tx, ty = ([dict(c.terms) for c in v.components] for v in (x, y))
+    for result, expected in [(lie_bracket(x, y), oracles.lie_bracket(tx, ty)), (lie_bracket(x, x), [{}] * m)]:
+        assert type(result) is VectorField and result.m == m and type(result.components) is tuple
+        assert all(type(c) is Poly and c.nvars == m for c in result.components)
+        assert [dict(c.terms) for c in result.components] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_poly_is_true_exactly_when_nonzero(seed, m):
+    rng = random.Random(seed)
+    p = randgen.poly(rng, m)
+    for q in (p, p - p, p * 0, p + 1, -p, Poly.zero(m), Poly.const(m, Fraction(1, 2))):
+        assert bool(q) == (not q.is_zero())
+    assert not (p - p) and not Poly.zero(0) and Poly.const(0, 3)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cosym3 import linalg
+
+import oracles
 
 
 def F(x, y=1):
@@ -260,3 +262,29 @@ def test_sparse_rref_matches_dense_rref_on_mixed_entries(a):
     assert _exact_entries(basis) and _exact_entries(dense)
     # Each pivot is an int 1; an integral entry is never left a float.
     assert all(type(v[min(v)]) is int and v[min(v)] == 1 for v in basis)
+
+
+@st.composite
+def square_matrices(draw):
+    """A rational n x n matrix, 1 <= n <= 5; about half of them the product of
+    an n x r and an r x n matrix with r < n, so of rank below n."""
+    n = draw(st.integers(1, 5))
+
+    def block(rows, cols):
+        return [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+    if n > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, n - 1))
+        left, right = block(n, r), block(r, n)
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+    return block(n, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_inverse_raises_exactly_on_zero_determinant(a):
+    if oracles.det(a) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(a)
+    else:
+        assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(len(a))
