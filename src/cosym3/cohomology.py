@@ -87,13 +87,6 @@ def operator_block(images, dst, op: str, k: int, forms: str = "harmonic forms") 
 # -- invariant forms under a finite-order monodromy ---------------------------
 
 
-def pullback_matrix(a: EndField, q: int) -> linalg.Matrix:
-    """Dense matrix of the slotwise pullback a* on constant q-forms."""
-    tuples = monomial_tuples(a.m, q)
-    images = monomial_images(a.to_fractions(), tuples)
-    return [[images[t].get(s, 0) for t in tuples] for s in tuples]
-
-
 def invariant_forms(
     a: EndField, q: int, order_bound: int = DEFAULT_ORDER_BOUND
 ) -> list[linalg.SparseVector]:

@@ -476,29 +476,33 @@ class Metric(EndField):
         return out
 
     def is_positive_definite_at(self, point: Sequence) -> bool:
-        return _leading_minors_positive(self.evaluate(point))
+        return _positive_definite_det(self.evaluate(point)) is not None
 
     def is_positive_definite(self) -> bool:
         """Leading-principal-minor test; constant metrics only."""
-        return _leading_minors_positive(self.to_fractions())
+        return _positive_definite_det(self.to_fractions()) is not None
 
 
-def _leading_minors_positive(mat: linalg.Matrix) -> bool:
-    """Sylvester's criterion by one elimination without row exchanges.
+def _positive_definite_det(mat: linalg.Matrix) -> linalg.Entry | None:
+    """det(mat) when mat is positive definite, else None: Sylvester's
+    criterion by one elimination without row exchanges.
 
     The k-th pivot is D_k / D_(k-1), the ratio of consecutive leading
-    minors, so the first pivot <= 0 marks the first leading minor <= 0.
+    minors, so the first pivot <= 0 marks the first leading minor <= 0, and
+    the product of the pivots is the determinant.
     """
     a = [list(row) for row in mat]
+    det = 1
     for k, pivot_row in enumerate(a):
         pivot = pivot_row[k]
         if pivot <= 0:
-            return False
+            return None
+        det *= pivot
         for row in a[k + 1 :]:
             if row[k]:
                 f = Fraction(row[k]) / pivot
                 row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
-    return True
+    return linalg.exact(det)
 
 
 # -- core operations --------------------------------------------------------
@@ -642,9 +646,7 @@ def complement_sign(indices: IndexTuple, m: int) -> tuple[IndexTuple, int]:
     return comp, -1 if (sum(indices) - k * (k - 1) // 2) & 1 else 1
 
 
-def _sqrt_fraction(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
+def _sqrt_fraction(value: linalg.Entry) -> Fraction | None:
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -669,9 +671,9 @@ class HodgeOperator:
     def __init__(self, g: Metric, orientation: Sequence[int] | None = None):
         self.m = g.m
         mat = g.to_fractions()
-        if not _leading_minors_positive(mat):
+        d = _positive_definite_det(mat)
+        if d is None:
             raise MetricError("metric is degenerate or not positive definite")
-        d = linalg.det(mat)
         sqrt_det = _sqrt_fraction(d)
         if sqrt_det is None:
             raise MetricError(
@@ -723,7 +725,10 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
-    raised = _pulled_back(HodgeOperator(g).inverse, form_vector(alpha))
+    mat = g.to_fractions()
+    if _positive_definite_det(mat) is None:
+        raise MetricError("metric is degenerate or not positive definite")
+    raised = _pulled_back(linalg.inverse(mat), form_vector(alpha))
     b = form_vector(beta)
     return sum(x * b[key] for key, x in raised.items() if key in b)
 

@@ -4,11 +4,13 @@ An entry is an exact rational: an ``int`` when it is integral and a
 ``Fraction`` otherwise (sums of ``Fraction``s may leave a ``Fraction`` with
 denominator 1, which compares and hashes equal to its ``int``).  Values are
 made ``int`` where they are created, by ``exact``, and every division of
-entries goes through ``quotient``, so no ``float`` can appear.  Small dense
-matrices are lists of lists of entries, sparse vectors are dicts from
-ordered keys to nonzero entries, and sparse matrices are sparse vectors
-keyed by (row, column) pairs.  Everything here is deterministic: pivots are
-chosen by position, never by magnitude, and kernel and row-space bases are
+entries goes through ``quotient``, so no ``float`` can appear.  Sparse
+vectors are dicts from ordered keys to nonzero entries, and sparse matrices
+are sparse vectors keyed by (row, column) pairs.  One Gauss-Jordan
+elimination, ``sparse_rref``, serves everything: the dense ``rref``,
+``rank``, ``kernel_basis`` and ``inverse`` on lists of lists of entries are
+views of it.  Everything here is deterministic: pivots are chosen by
+position, never by magnitude, and kernel and row-space bases are
 reduced-echelon vectors taken in column order.
 """
 
@@ -52,12 +54,6 @@ def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
@@ -75,50 +71,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        total = 0
-        for x, y in zip(row, v):
-            if x and y:
-                total += x * y
-        out.append(total)
-    return out
+def _sparse_rows(a: Matrix):
+    return ({j: x for j, x in enumerate(row) if x} for row in a)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = copy_matrix(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        m[r] = [quotient(x, p) if x else x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[exact(x) for x in row] for row in m], pivots
+    """Reduced row echelon form and the list of pivot columns: the rows of
+    ``sparse_rref`` laid out densely, padded with zero rows to ``len(a)``."""
+    cols = len(a[0]) if a else 0
+    rows = sparse_rref(_sparse_rows(a))
+    red = [[exact(row.get(j, 0)) for j in range(cols)] for row in rows]
+    return red + zeros(len(a) - len(rows), cols), [min(row) for row in rows]
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
-def row_space_basis(a: Matrix) -> list[Vector]:
-    """Canonical (reduced echelon) basis of the row space."""
-    red, pivots = rref(a)
-    return [red[i] for i in range(len(pivots))]
+    return len(sparse_rref(_sparse_rows(a)))
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -152,28 +119,15 @@ def add_scaled(v: SparseVector, c: Entry, w: SparseVector) -> None:
 def sparse_sum(terms) -> SparseVector:
     """The sum of (key, value) pairs as a sparse vector.
 
-    A value may be an entry or a ``Poly``: both add to ``0`` and are false
-    exactly when zero, so the sums that cancel are dropped either way.
+    A value may be an entry or a ``Poly``: both are false exactly when zero,
+    so the sums that cancel are dropped either way.  The first value of a
+    key is kept as it is, not copied by adding it to ``0``.
     """
     out: SparseVector = {}
     for key, x in terms:
-        out[key] = out.get(key, 0) + x
+        y = out.get(key)
+        out[key] = x if y is None else y + x
     return {key: x for key, x in out.items() if x}
-
-
-def sparse_matrix(blocks: dict[int, Matrix], shift: int = 0) -> SparseMatrix:
-    """The sparse form of an operator given by dense blocks, one per degree.
-
-    Block k maps degree k to degree k + shift; its entry (i, j) gets the key
-    ((k + shift, i), (k, j)).  A plain square matrix is ``{0: matrix}``.
-    """
-    return {
-        ((k + shift, i), (k, j)): x
-        for k, block in blocks.items()
-        for i, row in enumerate(block)
-        for j, x in enumerate(row)
-        if x
-    }
 
 
 def _product_terms(a: SparseMatrix, b: SparseMatrix, sign: int = 1):
@@ -207,7 +161,7 @@ def sparse_rref(vectors) -> list[SparseVector]:
 
     The pivot of a basis vector is its smallest key, where it has entry 1;
     every other basis vector is 0 there.  Vectors come out in pivot order, so
-    the result is ``row_space_basis`` of the dense rows, minus the zeros.
+    the result is the nonzero rows of ``rref`` of the dense rows.
     """
     rows: dict = {}
     for vec in vectors:
@@ -227,6 +181,17 @@ def sparse_rref(vectors) -> list[SparseVector]:
         for q in [key for key in row if key != p and key in rows]:
             add_scaled(row, -row[q], rows[q])
     return [rows[p] for p in sorted(rows)]
+
+
+def inverse(a: Matrix) -> Matrix:
+    """a^-1 as the right half of the reduced echelon form of [a | I]."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    rows = sparse_rref({**row, n + i: 1} for i, row in enumerate(_sparse_rows(a)))
+    if [min(row) for row in rows] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[exact(row.get(n + j, 0)) for j in range(n)] for row in rows]
 
 
 class EchelonBasis:
@@ -255,48 +220,6 @@ class EchelonBasis:
                 coords[i] = c
                 add_scaled(rest, -c, self.vectors[i])
         return None if rest else coords
-
-
-def solve_many(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve ``a @ x = b`` column by column; None if any column is inconsistent.
-
-    When the system is underdetermined the canonical solution with zero free
-    variables is returned, so results are reproducible.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    nrhs = len(b[0]) if b else 0
-    if len(b) != rows:
-        raise ValueError("right-hand side has wrong number of rows")
-    aug = [a[i][:] + b[i][:] for i in range(rows)] if rows else []
-    red, pivots = rref(aug) if rows else ([], [])
-    for r in range(len(pivots)):
-        if pivots[r] >= cols:
-            return None
-    for r in range(len(pivots), rows):
-        if any(red[r][cols:]):
-            return None
-    x = zeros(cols, nrhs)
-    for r, pc in enumerate(pivots):
-        for j in range(nrhs):
-            x[pc][j] = red[r][cols + j]
-    return x
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    res = solve_many(a, [[v] for v in b])
-    if res is None:
-        return None
-    return [row[0] for row in res]
-
-
-def inverse(a: Matrix) -> Matrix:
-    """a^-1 from one elimination: a square ``a`` with a solution of a X = I
-    has full rank."""
-    res = solve_many(a, identity(len(a)))
-    if res is None:
-        raise ValueError("matrix is singular")
-    return res
 
 
 def det(a: Matrix) -> Entry:

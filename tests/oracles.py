@@ -3,7 +3,8 @@
 Nothing here calls the package's own higher-level machinery: quaternion
 arithmetic is expanded from the defining relations, the so(4,1)
 reference realization gets its structure constants, Killing form, and
-signature from a separate small implementation, and constant forms are
+signature from a separate small implementation, dense matrices are reduced
+by a separate Gauss-Jordan elimination (``rref``), and constant forms are
 pulled back and starred by one determinant per pair of index tuples.
 """
 
@@ -83,34 +84,70 @@ def so41_generators():
     return gens
 
 
-def _solve_exact(a, b):
-    """Gaussian elimination with partial (first-nonzero) pivoting; None if
-    inconsistent.  Independent of the package's linalg module."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
+def rref(mat):
+    """Reduced row echelon form over Fractions and the pivot columns, by
+    Gauss-Jordan elimination with first-nonzero pivoting on dense rows.
+    Independent of the package's linalg module."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    cols = len(a[0]) if a else 0
     pivots = []
-    r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if aug[i][c]), None)
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
         if p is None:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        f = aug[r][c]
-        aug[r] = [x / f for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[r])]
+        a[r], a[p] = a[p], a[r]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
+    return a, pivots
+
+
+def kernel_basis(mat):
+    """One null vector per free column: 1 there, 0 at the other free columns."""
+    cols = len(mat[0]) if mat else 0
+    red, pivots = rref(mat)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(cols)]
+        for row, c in zip(red, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _solve_exact(a, b):
+    """The solution of a x = b that is 0 at the free columns; None if
+    inconsistent."""
+    cols = len(a[0]) if a else 0
+    red, pivots = rref([list(row) + [y] for row, y in zip(a, b)])
+    if cols in pivots:
+        return None
     sol = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][cols]
+    for row, c in zip(red, pivots):
+        sol[c] = row[cols]
     return sol
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def sparse_matrix(blocks, shift=0):
+    """An operator given by dense blocks, one per degree, as a sparse matrix:
+    entry (i, j) of block k gets the key ((k + shift, i), (k, j)).  A plain
+    square matrix is ``{0: matrix}``."""
+    return {
+        ((k + shift, i), (k, j)): x
+        for k, block in blocks.items()
+        for i, row in enumerate(block)
+        for j, x in enumerate(row)
+        if x
+    }
 
 
 def structure_constants(gens):
@@ -243,19 +280,18 @@ def minor_pullback(mat, form):
 
 
 def _inverse(mat):
-    """Gauss-Jordan elimination of [mat | I]; mat must be invertible."""
+    """The right half of the reduced echelon form of [mat | I]; mat must be
+    invertible."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    red, _ = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    return [row[n:] for row in red]
+
+
+def pullback_matrix(mat, q):
+    """Dense matrix of A* on constant q-forms, column t the minors of A* dx_t."""
+    tuples = list(combinations(range(len(mat)), q))
+    images = {t: minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
+    return [[images[t].get(s, Fraction(0)) for t in tuples] for s in tuples]
 
 
 def _gram(inv, left, right):

@@ -22,10 +22,12 @@ from cosym3 import (
     volume_form,
     wedge,
 )
-from cosym3.cohomology import pullback_matrix
+from cosym3 import linalg
 from cosym3.exterior import (
+    MetricError,
     _merge,
     complement_sign,
+    form_vector,
     monomial_images,
     sort_with_sign,
     sparse_contract,
@@ -198,6 +200,27 @@ def test_inner_product_symmetric_and_star_isometry():
         assert form_inner_product(g, star(a), star(b)) == form_inner_product(g, a, b)
 
 
+def test_inner_product_needs_no_square_det():
+    # <dx_I, dx_J> needs only G^-1, so a metric whose determinant is not a
+    # rational square has an exact inner product, though no exact star.
+    diag = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+    g = Metric.from_fractions(diag)
+    assert form_inner_product(g, dx(3, 0), dx(3, 0)) == Fraction(1, 2)
+    with pytest.raises(MetricError, match="not a rational square"):
+        HodgeOperator(g)
+    rng = random.Random(24)
+    for mat in (diag, [[3, 0, 0, 0], [0, 5, 0, 0], [0, 0, Fraction(1, 2), 0], [0, 0, 0, 7]]):
+        g, m = Metric.from_fractions(mat), len(mat)
+        for k in range(m + 1):
+            a, b = (randgen.form(rng, m, k, constant=True) for _ in range(2))
+            assert form_inner_product(g, a, b) == oracles.gram_inner(
+                mat, form_vector(a), form_vector(b)
+            )
+    for bad in ([[1, 1], [1, 1]], [[-1, 0], [0, -1]]):
+        with pytest.raises(MetricError, match="not positive definite"):
+            form_inner_product(Metric.from_fractions(bad), dx(2, 0), dx(2, 0))
+
+
 def test_hodge_defining_equation():
     # alpha ^ *beta = <alpha, beta> vol, including a dense metric case.
     rng = __import__("random").Random(7)
@@ -228,7 +251,7 @@ def _square_det_metric(rng, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_constant_forms_match_determinant_oracles(m):
-    # pullback, monomial_images, pullback_matrix, the star on forms and on
+    # pullback, monomial_images, the star on forms and on
     # sparse vectors in both orientations, and the inner product against one
     # minor or Gram determinant per pair of index tuples.
     rng = random.Random(900 + m)
@@ -244,7 +267,6 @@ def test_constant_forms_match_determinant_oracles(m):
         tuples = list(combinations(range(m), k))
         images = {t: oracles.minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
         assert monomial_images(mat, tuples) == images
-        assert pullback_matrix(a, k) == [[images[t].get(s, 0) for t in tuples] for s in tuples]
         alpha, beta = (
             {t: randgen.fraction(rng, False) for t in rng.sample(tuples, min(4, len(tuples)))}
             for _ in range(2)
@@ -724,3 +746,15 @@ def test_poly_is_true_exactly_when_nonzero(seed, m):
     for q in (p, p - p, p * 0, p + 1, -p, Poly.zero(m), Poly.const(m, Fraction(1, 2))):
         assert bool(q) == (not q.is_zero())
     assert not (p - p) and not Poly.zero(0) and Poly.const(0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_sparse_sum_keeps_a_lone_value_and_adds_the_rest(seed, m):
+    # The first value of a key is stored as it is, not copied by 0 + p.
+    rng = random.Random(seed)
+    p, q = randgen.poly(rng, m), randgen.poly(rng, m)
+    one_term = Poly(m, {(1,) * m: Fraction(3, 2)})
+    total = linalg.sparse_sum([("a", one_term), ("b", p), ("b", q), ("c", p), ("c", -p)])
+    assert total["a"] is one_term
+    assert total.get("b") == (p + q or None) and "c" not in total

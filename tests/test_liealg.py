@@ -140,7 +140,7 @@ def test_signature_matches_reference_realization(torus7, torus7_table):
     # And our span analysis agrees with the oracle on the reference algebra,
     # also after a seeded change of basis that makes every generator dense.
     gens = oracles.so41_generators()
-    res = analyze_operator_span([linalg.sparse_matrix({0: g}) for g in gens])
+    res = analyze_operator_span([oracles.sparse_matrix({0: g}) for g in gens])
     assert res.closed and res.span_dim == 10
     assert res.signature == oracle_sig
     assert res.killing_rank == 10
@@ -148,7 +148,7 @@ def test_signature_matches_reference_realization(torus7, torus7_table):
     p_inv = linalg.inverse(p)
     dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
     assert all(sum(1 for row in g for x in row if x) >= 23 for g in dense)
-    conj = analyze_operator_span([linalg.sparse_matrix({0: g}) for g in dense])
+    conj = analyze_operator_span([oracles.sparse_matrix({0: g}) for g in dense])
     assert conj.bracket_coeffs == res.bracket_coeffs
     assert conj.killing_rank == 10 and conj.signature == oracle_sig
 
@@ -182,8 +182,8 @@ def test_span_analysis_detects_non_closure():
     z, o = Fraction(0), Fraction(1)
     p = [[z, o], [z, z]]
     q = [[z, z], [o, z]]
-    plain = [linalg.sparse_matrix({0: p}), linalg.sparse_matrix({0: q})]
-    graded = [linalg.sparse_matrix({0: [[o]]}, 1), linalg.sparse_matrix({1: [[o]]}, -1)]
+    plain = [oracles.sparse_matrix({0: p}), oracles.sparse_matrix({0: q})]
+    graded = [oracles.sparse_matrix({0: [[o]]}, 1), oracles.sparse_matrix({1: [[o]]}, -1)]
     for ops in (plain, graded):
         res = analyze_operator_span(ops)
         assert res.independent
@@ -197,7 +197,7 @@ def test_span_analysis_keys_keep_target_degree():
     # differ only in the target degree, and [A, B] = -B.
     one = [[Fraction(1)]]
     res = analyze_operator_span(
-        [linalg.sparse_matrix({0: one}, 0), linalg.sparse_matrix({0: one}, 1)]
+        [oracles.sparse_matrix({0: one}, 0), oracles.sparse_matrix({0: one}, 1)]
     )
     assert res.independent
     assert res.closed and res.span_dim == 2

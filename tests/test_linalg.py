@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosym3 import linalg
 
@@ -27,20 +27,25 @@ def test_kernel_basis():
     basis = linalg.kernel_basis(m)
     assert len(basis) == 2
     for v in basis:
-        assert linalg.mat_vec(m, v) == [F(0)]
+        assert oracles.mat_vec(m, v) == [F(0)]
     # canonical: one unit per free column
     assert basis[0][1] == 1 and basis[1][2] == 1
+    assert basis == oracles.kernel_basis(m)
 
 
 def test_solve_and_inverse():
     a = [[F(2), F(1)], [F(1), F(3)]]
-    x = linalg.solve(a, [F(5), F(10)])
-    assert linalg.mat_vec(a, x) == [F(5), F(10)]
     inv = linalg.inverse(a)
+    assert inv == oracles._inverse(a)
     assert linalg.mat_mul(a, inv) == linalg.identity(2)
-    assert linalg.solve([[F(0)], [F(0)]], [F(1), F(0)]) is None
-    with pytest.raises(ValueError):
+    x = [row[0] for row in linalg.mat_mul(inv, [[F(5)], [F(10)]])]
+    assert x == oracles._solve_exact(a, [F(5), F(10)])
+    assert oracles.mat_vec(a, x) == [F(5), F(10)]
+    with pytest.raises(ValueError, match="singular"):
         linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
+    for shape in ([[F(0)], [F(0)]], [[F(1), F(2)]]):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.inverse(shape)
 
 
 def test_det():
@@ -79,7 +84,8 @@ def matrices(draw, rows=3, cols=3):
 @given(matrices())
 def test_kernel_vectors_annihilate(a):
     for v in linalg.kernel_basis(a):
-        assert linalg.mat_vec(a, v) == [Fraction(0)] * len(a)
+        assert oracles.mat_vec(a, v) == [Fraction(0)] * len(a)
+    assert linalg.rank(a) == len(oracles.rref(a)[1])
     assert linalg.rank(a) + len(linalg.kernel_basis(a)) == 3
 
 
@@ -118,15 +124,16 @@ def test_sparse_rref_matches_dense_reference():
         rows, cols = rng.randint(0, 7), rng.randint(1, 8)
         a = _random_rows(rng, rows, cols)
         basis = linalg.sparse_rref(_sparse(r) for r in a)
-        assert [_dense(v, cols) for v in basis] == (linalg.row_space_basis(a) if a else [])
+        red, pivots = oracles.rref(a)
+        assert [_dense(v, cols) for v in basis] == red[: len(pivots)]
         if a:
             # Rank-nullity against the dense kernel of the transposed system.
-            assert len(a) - len(basis) == len(linalg.kernel_basis(linalg.transpose(a)))
+            assert len(a) - len(basis) == len(oracles.kernel_basis(oracles.dense_transpose(a)))
     assert linalg.sparse_rref([]) == []
     assert linalg.sparse_rref([{}, {3: F(0)}]) == []
 
 
-def test_pivot_coordinates_match_solve_many():
+def test_pivot_coordinates_match_exact_solve():
     from cosym3.cohomology import operator_matrix
 
     rng = random.Random(62)
@@ -145,16 +152,16 @@ def test_pivot_coordinates_match_solve_many():
                 j = rng.randrange(cols)
                 combo[j] = combo.get(j, F(0)) + F(rng.randint(1, 3))
             images.append({j: x for j, x in combo.items() if x})
-        # Columns of the destination basis and of the images, as dense systems.
+        # The destination basis as the columns of a dense system, solved for
+        # each image independently of linalg.
         dmat = [[v.get(r, F(0)) for v in basis.vectors] for r in range(cols)]
-        vmat = [[im.get(r, F(0)) for im in images] for r in range(cols)]
-        expected = linalg.solve_many(dmat, vmat) if images else [[] for _ in basis.vectors]
-        sparse = None if expected is None else {
-            (i, j): x for i, row in enumerate(expected) for j, x in enumerate(row) if x
+        solutions = [oracles._solve_exact(dmat, _dense(im, cols)) for im in images]
+        expected = None if None in solutions else {
+            (i, j): x for j, sol in enumerate(solutions) for i, x in enumerate(sol) if x
         }
-        assert operator_matrix(images, basis) == sparse
-        for im, col in zip(images, linalg.transpose(expected or [])):
-            assert basis.coordinates(im) == {i: x for i, x in enumerate(col) if x}
+        assert operator_matrix(images, basis) == expected
+        for im, sol in zip(images, solutions):
+            assert basis.coordinates(im) == (None if sol is None else {i: x for i, x in enumerate(sol) if x})
         outside += expected is None
     assert outside > 20
     empty = linalg.EchelonBasis([])
@@ -186,7 +193,7 @@ def test_sparse_commutator_matches_dense_reference():
                 for i, row in enumerate(block):
                     for j, x in enumerate(row):
                         big[offsets[k + shift] + i][offsets[k] + j] = x
-            ops.append((linalg.sparse_matrix(blocks, shift), big))
+            ops.append((oracles.sparse_matrix(blocks, shift), big))
         (a, big_a), (b, big_b) = ops
         ab, ba = linalg.mat_mul(big_a, big_b), linalg.mat_mul(big_b, big_a)
         expected = {
@@ -225,10 +232,17 @@ def test_quotient_is_int_when_whole():
 
 def test_dense_routines_stay_exact_on_int_entries():
     # Dividing two ints with / gives a float, so every dense routine must
-    # give the same exact result on int entries as on Fraction entries.
-    any_shape = [linalg.rref, linalg.rank, linalg.row_space_basis, linalg.kernel_basis]
+    # give the same exact result on int entries as on Fraction entries, and
+    # that of the independent oracle on Fraction entries.
+    any_shape = [
+        (linalg.rref, oracles.rref),
+        (linalg.rank, lambda m: len(oracles.rref(m)[1])),
+        (linalg.kernel_basis, oracles.kernel_basis),
+    ]
     invertible_symmetric = any_shape + [
-        linalg.det, linalg.inverse, linalg.signature, lambda m: linalg.solve(m, [1] * len(m))
+        (linalg.det, oracles.det),
+        (linalg.inverse, oracles._inverse),
+        (linalg.signature, oracles.symmetric_signature),
     ]
     cases = [
         (invertible_symmetric, [[[2, 1], [1, 1]], [[2, 1], [1, 3]], [[0, 2, 1], [2, 0, 3], [1, 3, 5]]]),
@@ -237,9 +251,9 @@ def test_dense_routines_stay_exact_on_int_entries():
     for routines, matrices in cases:
         for a in matrices:
             fa = [[F(x) for x in row] for row in a]
-            for fn in routines:
+            for fn, oracle in routines:
                 result = fn(a)
-                assert result == fn(fa)
+                assert result == fn(fa) == oracle(fa)
                 assert _exact_entries(result), (fn, a, result)
     assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert type(linalg.det([[2, 1], [1, 3]])) is int
@@ -254,12 +268,17 @@ _ENTRIES = st.one_of(
 )
 
 
-@given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), max_size=6)))
+_MIXED_MATRICES = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), max_size=6)
+)
+
+
+@given(_MIXED_MATRICES)
 def test_sparse_rref_matches_dense_rref_on_mixed_entries(a):
     basis = linalg.sparse_rref(_sparse(row) for row in a)
-    dense = linalg.row_space_basis(a) if a else []
-    assert {frozenset(v.items()) for v in basis} == {frozenset(_sparse(row).items()) for row in dense}
-    assert _exact_entries(basis) and _exact_entries(dense)
+    red, pivots = oracles.rref(a)
+    assert [_sparse(row) for row in red[: len(pivots)]] == basis
+    assert _exact_entries(basis)
     # Each pivot is an int 1; an integral entry is never left a float.
     assert all(type(v[min(v)]) is int and v[min(v)] == 1 for v in basis)
 
@@ -288,3 +307,28 @@ def test_inverse_raises_exactly_on_zero_determinant(a):
             linalg.inverse(a)
     else:
         assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(len(a))
+
+
+def _int_where_integral(x) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in _leaves(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_MIXED_MATRICES, square_matrices()))
+@example([[1, F(1, 2), F(1, 2)], [0, 1, -1]])
+def test_dense_views_match_oracle_on_mixed_entries(a):
+    # rref, rank, kernel_basis and inverse are views of sparse_rref; each
+    # must equal the independent dense elimination and give an int for
+    # every integral value.  In the example, back substitution leaves the
+    # sparse entry 1/2 + 1/2 as Fraction(1, 1).
+    red, pivots = oracles.rref(a)
+    results = [linalg.rref(a), linalg.rank(a), linalg.kernel_basis(a)]
+    assert results == [(red, pivots), len(pivots), oracles.kernel_basis(a)]
+    if a and len(a) == len(a[0]):
+        if len(pivots) < len(a):
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse(a)
+        else:
+            results.append(linalg.inverse(a))
+            assert results[-1] == oracles._inverse(a)
+    assert _int_where_integral(results)

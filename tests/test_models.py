@@ -28,11 +28,11 @@ def test_left_multiplication_table():
     j1, j2, j3 = data.j_ops
     # J1 maps the basis quaternion 1 to i.
     e0 = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    assert linalg.mat_vec(j1.to_fractions(), e0) == [0, 1, 0, 0]
+    assert oracles.mat_vec(j1.to_fractions(), e0) == [0, 1, 0, 0]
     assert j1 * j2 == j3
     for j in (j1, j2, j3):
         mat = j.to_fractions()
-        assert linalg.mat_mul(linalg.transpose(mat), mat) == linalg.identity(4)
+        assert linalg.mat_mul(oracles.dense_transpose(mat), mat) == linalg.identity(4)
     # Against the independent quaternion expansion.
     for name, j in zip(("i", "j", "k"), data.j_ops):
         assert j.to_fractions() == oracles.left_mult_matrix(name)
@@ -45,7 +45,7 @@ def test_quaternion_right_mult_oracle():
     assert linalg.matrix_order(r_i.to_fractions(), 10) == 4
     # x -> x*i sends (a, b, c, d) to (-b, a, d, -c)
     v = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-    assert linalg.mat_vec(r_i.to_fractions(), v) == [-2, 1, 4, -3]
+    assert oracles.mat_vec(r_i.to_fractions(), v) == [-2, 1, 4, -3]
 
 
 def test_right_mult_antihomomorphism():
