@@ -62,6 +62,15 @@ def test_wedge_normalizes_unordered_keys():
     assert KForm(3, 2, {(1, 1): 5}).is_zero()
 
 
+def test_render_lists_terms_in_lexicographic_index_order():
+    # (0, 3) comes before (1, 2) lexicographically but after it in colex order.
+    form = KForm(4, 2, {(1, 2): 1, (0, 3): 2})
+    assert form.render() == "2*dx1^dx4 + dx2^dx3"
+    assert repr(form) == "KForm(2*dx1^dx4 + dx2^dx3)"
+    poly_form = KForm(4, 2, {(2, 1): Poly.variable(4, 0), (0, 3): -1})
+    assert poly_form.render(list("abcd")) == "-da^dd + (-a)*db^dc"
+
+
 def test_exterior_derivative_examples():
     m = 3
     x1 = Poly.variable(m, 0)

@@ -17,6 +17,7 @@ from cosym3 import (
     check_three_cosymplectic,
     d_homothetic_deform,
     euclidean_space,
+    exterior_derivative,
     fundamental_form,
     nijenhuis_tensor,
 )
@@ -311,6 +312,18 @@ def test_check_three_cosymplectic_counterexample(standard7):
     failing = report.item("compatible[1]")
     assert not failing.passed
     assert "entry" in failing.witness
+
+
+def test_form_witness_names_the_lexicographically_first_term(standard7):
+    # d(eta_1) has terms (0, 3) and (1, 2): lexicographic order puts (0, 3)
+    # first and colex order (1, 2), so the witness pins the order it uses.
+    space, t = standard7
+    m = t.m
+    extra = KForm(m, 1, {(0,): Poly.variable(m, 3) * 2, (1,): Poly.variable(m, 2)})
+    bent = cases.replace_structure(t, 1, eta=t.structure(1).eta + extra)
+    assert exterior_derivative(bent.structure(1).eta) == KForm(m, 2, {(0, 3): -2, (1, 2): -1})
+    item = check_three_cosymplectic(bent).item("closed_eta[1]")
+    assert (item.passed, item.witness) == (False, "residual term (0, 3): -2")
 
 
 def test_dimension_hard_error():
