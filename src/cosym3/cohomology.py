@@ -3,10 +3,11 @@
 On a compact flat quotient with finite-order linear monodromy the harmonic
 forms are exactly the constant monodromy-invariant forms, so every space here
 is computed by exact rational linear algebra on sparse vectors: a constant
-k-form is a dict from increasing index tuples to nonzero entries, each an
-``int`` when integral and a ``Fraction`` otherwise (see ``linalg``).
+k-form is a dict from monomial keys (see ``exterior``) to nonzero entries,
+each an ``int`` when integral and a ``Fraction`` otherwise (see ``linalg``).
 Invariant subspaces come from averaging projectors.  Each space is kept as
-its reduced echelon basis over the ordered monomial forms and each operator
+its reduced echelon basis over the monomial keys in increasing order, which
+is colex order on the index sets, and each operator
 as one sparse matrix per degree of the coordinates read off its pivots; the
 eightfold split is computed on the e_alpha matrices and mapped back to forms.
 """
@@ -27,8 +28,11 @@ from .exterior import (
     form_vector,
     interior_product,
     monomial_images,
+    monomial_key,
+    monomial_keys,
     sparse_contract,
     sparse_wedge,
+    vector_form,
 )
 from .models import DEFAULT_ORDER_BOUND, ModelSpace
 from .structures import CheckItem, CheckReport, EVEN_PERMS, ThreeStructure
@@ -53,10 +57,6 @@ def eps_label(eps: tuple[int, int, int]) -> str:
 
 
 # -- constant forms as sparse vectors -----------------------------------------
-
-
-def monomial_tuples(m: int, k: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(m), k))
 
 
 def _eta_xi(t: ThreeStructure, alpha: int):
@@ -104,7 +104,7 @@ def invariant_forms(
     order = linalg.matrix_order(mat, order_bound)
     if order is None:
         raise CohomologyError(f"monodromy not finite order within bound {order_bound}")
-    images = monomial_images(mat, monomial_tuples(a.m, q))
+    images = monomial_images(mat, monomial_keys(a.m, q))
     columns = []
     for t in images:
         orbit = [{t: 1}]
@@ -154,7 +154,7 @@ def harmonic_space(
         raise ValueError(f"degree {k} out of range 0..{m}")
     topo = space.topology
     if topo.kind == "torus":
-        return [{key: ONE} for key in monomial_tuples(m, k)]
+        return [{key: ONE} for key in monomial_keys(m, k)]
     d = topo.fiber_dim
     assert topo.monodromy is not None
     fibers = {} if fibers is None else fibers
@@ -167,7 +167,7 @@ def harmonic_space(
             bound = topo.order or DEFAULT_ORDER_BOUND
             fibers[q] = invariant_forms(topo.monodromy, q, order_bound=bound)
         for t_set in combinations(range(d, d + 3), p):
-            forms.extend(sparse_wedge({t_set: ONE}, w) for w in fibers[q])
+            forms.extend(sparse_wedge({monomial_key(t_set): ONE}, w) for w in fibers[q])
     return linalg.sparse_rref(forms)
 
 
@@ -283,7 +283,7 @@ class HarmonicTable:
         return self.spans.get((k, eps)) or linalg.EchelonBasis([])
 
     def component(self, k: int, eps: tuple[int, int, int]) -> tuple[KForm, ...]:
-        return tuple(KForm(self.m, k, v) for v in self.span(k, eps).vectors)
+        return tuple(vector_form(self.m, k, v) for v in self.span(k, eps).vectors)
 
     def dims_row(self, k: int) -> dict[str, int]:
         return {eps_label(eps): len(self.span(k, eps)) for eps in EPS_ORDER}

@@ -1,11 +1,17 @@
 """Sparse exterior algebra with exact polynomial coefficients.
 
 Forms, vector fields, endomorphism fields, and metrics on a single chart of
-dimension ``m``.  Forms are keyed by strictly increasing index tuples; any
-other tuple handed to a constructor is normalized, with the permutation sign
-absorbed into the coefficient.  Values are immutable after construction and
-every operation is a pure function, so concurrent use needs no coordination;
-a ``HodgeOperator``'s memo of raised monomials only ever gains fixed values.
+dimension ``m``.  A form keys the monomial dx_I by the ``int`` bitmask
+sum_{i in I} 2^i, so bit i stands for index i; ``monomial_key`` and
+``monomial_indices`` convert between keys and increasing index tuples, which
+appear only where forms are built from or shown to the outside.  An index
+tuple handed to the ``KForm`` constructor may be in any order: it is
+normalized, with the permutation sign absorbed into the coefficient.  On
+keys, dx_A ^ dx_B is zero when ``A & B`` and otherwise has key ``A | B`` and
+sign (-1)^(the number of pairs a in A, b in B with a > b).  Values are
+immutable after construction and every operation is a pure function, so
+concurrent use needs no coordination; a ``HodgeOperator``'s memo of raised
+monomials only ever gains fixed values.
 
 Conventions fixed here and used everywhere else:
 
@@ -18,9 +24,8 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -45,34 +50,49 @@ def sort_with_sign(indices) -> tuple[IndexTuple, int]:
     return tuple(lst), sign
 
 
-def _merge(ka: IndexTuple, kb: IndexTuple) -> tuple[IndexTuple, int]:
-    """``sort_with_sign(ka + kb)`` for two increasing tuples.
+def monomial_key(indices) -> int:
+    """The key of dx_I for an increasing index tuple I: bit i for index i."""
+    key = 0
+    for i in indices:
+        key |= 1 << i
+    return key
 
-    Each index of the shorter tuple is put into the longer one by bisection;
-    it passes every larger entry of the longer tuple, one transposition each.
-    Swapping the roles of ``ka`` and ``kb`` costs (-1)^(|ka| |kb|).
+
+def monomial_indices(key: int) -> IndexTuple:
+    """The increasing index tuple of a monomial key."""
+    return tuple(i for i in range(key.bit_length()) if key >> i & 1)
+
+
+def monomial_keys(m: int, k: int) -> list[int]:
+    """The keys of the degree-k monomials on an m-dimensional chart, increasing."""
+    return sorted(map(monomial_key, combinations(range(m), k)))
+
+
+def _inversion_mask(key: int, left: bool) -> int:
+    """Bit i holds the parity of the indices of ``key`` above i if ``left``,
+    below i otherwise.
+
+    So dx_A ^ dx_B has sign (-1)^popcount(B & _inversion_mask(A, True)), and
+    equally (-1)^popcount(A & _inversion_mask(B, False)): both count the
+    pairs a in A, b in B with a > b.
     """
-    if len(ka) < len(kb):
-        long, short, odd = kb, ka, len(ka) & len(kb) & 1
-    else:
-        long, short, odd = ka, kb, 0
-    n = len(long)
-    out = list(long)
-    for offset, i in enumerate(short):
-        pos = bisect_left(long, i)
-        if pos < n and long[pos] == i:
-            return tuple(sorted(ka + kb)), 0
-        odd ^= (n - pos) & 1
-        out.insert(pos + offset, i)
-    return tuple(out), -1 if odd else 1
+    mask = 0
+    while key:
+        low = key & -key
+        # low - 1 has every bit below the index set, -(low << 1) every bit above.
+        mask ^= low - 1 if left else -(low << 1)
+        key ^= low
+    return mask
 
 
 class KForm:
     """Differential k-form with Poly coefficients on an m-dimensional chart.
 
-    Degree 0 is stored as a single term keyed by the empty tuple.  Degrees
-    above ``m`` are permitted only for the zero form (wedge products may
-    overflow the top degree and must still carry their formal degree).
+    ``terms`` maps monomial keys to nonzero Polys; degree 0 is stored as a
+    single term keyed by 0, the empty monomial.  The constructor takes index
+    tuples.  Degrees above ``m`` are permitted only for the zero form (wedge
+    products may overflow the top degree and must still carry their formal
+    degree).
     """
 
     __slots__ = ("m", "degree", "terms")
@@ -93,7 +113,7 @@ class KForm:
             p = as_poly(value, m) if not isinstance(value, Poly) else value
             if p.nvars != m:
                 raise ValueError("coefficient over wrong variable count")
-            signed.append((sorted_key, p if sign > 0 else -p))
+            signed.append((monomial_key(sorted_key), p if sign > 0 else -p))
         clean = linalg.sparse_sum(signed)
         if degree > m and clean:
             raise ValueError(f"non-zero form of degree {degree} > dimension {m}")
@@ -132,7 +152,7 @@ class KForm:
 
     def coefficient(self, indices) -> Poly:
         key, sign = sort_with_sign(tuple(indices))
-        p = self.terms.get(key) if sign else None
+        p = self.terms.get(monomial_key(key)) if sign else None
         if p is None:
             return Poly.zero(self.m)
         return p if sign > 0 else -p
@@ -176,8 +196,8 @@ class KForm:
         if names is None:
             names = [f"x{i + 1}" for i in range(self.m)]
         parts = []
-        for key in sorted(self.terms):
-            p = self.terms[key]
+        # No two terms share an index tuple, so no Poly is ever compared.
+        for key, p in sorted((monomial_indices(key), p) for key, p in self.terms.items()):
             basis = "^".join(f"d{names[i]}" for i in key) if key else "1"
             coeff = p.render(names)
             if coeff == "1" and key:
@@ -195,7 +215,7 @@ class KForm:
 
 
 def _form(m: int, degree: int, terms: dict) -> KForm:
-    """A KForm over terms already valid: increasing keys, nonzero Polys in m variables."""
+    """A KForm over terms already valid: monomial keys, nonzero Polys in m variables."""
     out = KForm.__new__(KForm)
     out.m, out.degree, out.terms = m, degree, terms
     return out
@@ -509,21 +529,39 @@ def _positive_definite_det(mat: linalg.Matrix) -> linalg.Entry | None:
 
 
 def sparse_wedge(a: dict, b: dict) -> dict:
-    """Wedge of forms kept as dicts from increasing index tuples to nonzero
-    coefficients, each an entry or a Poly.  Above the top degree every merged
-    key repeats an index, so the result is empty."""
-    terms = ((_merge(ka, kb), x * y) for ka, x in a.items() for kb, y in b.items())
-    return linalg.sparse_sum((key, c if sign > 0 else -c) for (key, sign), c in terms if sign)
+    """Wedge of forms kept as dicts from monomial keys to nonzero
+    coefficients, each an entry or a Poly.  Above the top degree every pair
+    of keys shares an index, so the result is empty.
+
+    The inversion mask is built once per key of the smaller factor.
+    """
+    left = len(a) <= len(b)
+    outer, inner = (a, b) if left else (b, a)
+    out: dict = {}
+    for ko, x in outer.items():
+        mask = _inversion_mask(ko, left)
+        for ki, y in inner.items():
+            if ko & ki:
+                continue
+            c = x * y
+            if (ki & mask).bit_count() & 1:
+                c = -c
+            key = ko | ki
+            z = out.get(key)
+            out[key] = c if z is None else z + c
+    return {key: c for key, c in out.items() if c}
 
 
 def sparse_contract(xi: dict, v: dict) -> dict:
     """i_X of a form kept as in ``sparse_wedge``; X maps each index to its
-    nonzero component, an entry or a Poly."""
+    nonzero component, an entry or a Poly.  Contracting dx_K at index i
+    gives the key K ^ 2^i and the sign (-1)^popcount(K & (2^i - 1))."""
+    comps = [(1 << i, (1 << i) - 1, c) for i, c in xi.items()]
     return linalg.sparse_sum(
-        (key[:pos] + key[pos + 1 :], -xi[idx] * c if pos % 2 else xi[idx] * c)
-        for key, c in v.items()
-        for pos, idx in enumerate(key)
-        if idx in xi
+        (key ^ bit, -c * x if (key & below).bit_count() & 1 else c * x)
+        for key, x in v.items()
+        for bit, below, c in comps
+        if key & bit
     )
 
 
@@ -535,18 +573,17 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
 
 
 def exterior_derivative(omega: KForm) -> KForm:
-    """d on polynomial-coefficient forms: linear, d(d(.)) = 0, graded Leibniz."""
+    """d on polynomial-coefficient forms: linear, d(d(.)) = 0, graded Leibniz.
+
+    dx_j ^ dx_K has key K | 2^j and passes dx_j over the indices of K below j.
+    """
     terms = (
-        (_merge((j,), key), dp)
+        (key | 1 << j, -dp if (key & ((1 << j) - 1)).bit_count() & 1 else dp)
         for key, p in omega.terms.items()
         for j in range(omega.m)
-        if (dp := p.diff(j))
+        if not key >> j & 1 and (dp := p.diff(j))
     )
-    return _form(
-        omega.m,
-        omega.degree + 1,
-        linalg.sparse_sum((key, dp if sign > 0 else -dp) for (key, sign), dp in terms if sign),
-    )
+    return _form(omega.m, omega.degree + 1, linalg.sparse_sum(terms))
 
 
 def interior_product(x: VectorField, omega: KForm) -> KForm:
@@ -576,28 +613,35 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def form_vector(omega: KForm) -> linalg.SparseVector:
-    """The constant form ``omega`` as a sparse vector over the monomial forms."""
+    """The constant form ``omega`` as a sparse vector over the monomial keys."""
     if not omega.is_constant():
         raise ValueError("only constant forms can be coordinatized")
     return {key: p.constant_value() for key, p in omega.terms.items()}
 
 
+def vector_form(m: int, degree: int, v: linalg.SparseVector) -> KForm:
+    """The constant degree-k form of a sparse vector over the monomial keys."""
+    return _form(m, degree, {key: Poly.const(m, x) for key, x in v.items()})
+
+
 class _Pullback:
     """A* on constant forms for a constant matrix A whose row i is A* dx_i.
 
-    A* dx_I is memoized as the image of I[:-1] wedged with row I[-1], one
-    wedge per new monomial.  Entries are only ever added, each a fixed
-    function of its key, so callers may share one instance freely.
+    A* dx_K is memoized as the image of K without its highest index i wedged
+    with row i, one wedge per new monomial.  Entries are only ever added,
+    each a fixed function of its key, so callers may share one instance
+    freely.
     """
 
     def __init__(self, mat: linalg.Matrix):
-        self.rows = [{(j,): linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
-        self.images: dict[IndexTuple, linalg.SparseVector] = {(): {(): 1}}
+        self.rows = [{1 << j: linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
+        self.images: dict[int, linalg.SparseVector] = {0: {0: 1}}
 
-    def image(self, key: IndexTuple) -> linalg.SparseVector:
+    def image(self, key: int) -> linalg.SparseVector:
         found = self.images.get(key)
         if found is None:
-            found = self.images[key] = sparse_wedge(self.image(key[:-1]), self.rows[key[-1]])
+            top = key.bit_length() - 1
+            found = self.images[key] = sparse_wedge(self.image(key ^ 1 << top), self.rows[top])
         return found
 
     def __call__(self, v: linalg.SparseVector) -> linalg.SparseVector:
@@ -606,8 +650,8 @@ class _Pullback:
         )
 
 
-def monomial_images(mat: linalg.Matrix, monomials) -> dict[IndexTuple, linalg.SparseVector]:
-    """A* dx_I for each monomial I, as the wedge of the row images A* dx_i.
+def monomial_images(mat: linalg.Matrix, monomials) -> dict[int, linalg.SparseVector]:
+    """A* dx_I for each monomial key I, as the wedge of the row images A* dx_i.
 
     Row i of ``mat`` is A* dx_i, so the coefficient of A* dx_I at dx_J is the
     minor det(A[I, J]).
@@ -632,18 +676,7 @@ def pullback(a: EndField, omega: KForm) -> KForm:
         raise ValueError("pullback requires a constant endomorphism field")
     if not omega.is_constant():
         raise ValueError("pullback requires constant coefficients")
-    return KForm(a.m, omega.degree, _pulled_back(a.to_fractions(), form_vector(omega)))
-
-
-def complement_sign(indices: IndexTuple, m: int) -> tuple[IndexTuple, int]:
-    """Complementary index tuple and the sign of (indices, complement).
-
-    Index i at position p passes i - p complement indices: (-1)^(sum - k(k-1)/2).
-    """
-    chosen = set(indices)
-    comp = tuple(i for i in range(m) if i not in chosen)
-    k = len(indices)
-    return comp, -1 if (sum(indices) - k * (k - 1) // 2) & 1 else 1
+    return vector_form(a.m, omega.degree, _pulled_back(a.to_fractions(), form_vector(omega)))
 
 
 def _sqrt_fraction(value: linalg.Entry) -> Fraction | None:
@@ -700,8 +733,9 @@ class HodgeOperator:
         """Raise omega once by G^-1, then send each dx_J to its signed complement.
 
         G^-1 is symmetric, so the coefficient det(G^-1[I, J]) of its pullback
-        is the Gram determinant <dx_J, dx_I>.  Takes and returns either a
-        sparse vector or a constant KForm.
+        is the Gram determinant <dx_J, dx_I>.  The complement of J has key
+        ``full ^ J``, and its sign is that of dx_J ^ dx_(full ^ J).  Takes
+        and returns either a sparse vector or a constant KForm.
         """
         is_form = isinstance(omega, KForm)
         if is_form:
@@ -710,11 +744,13 @@ class HodgeOperator:
             if not omega.is_constant():
                 raise ValueError("Hodge star requires constant coefficients")
         scale = linalg.exact(self.sqrt_det * self.orientation_sign)
+        full = (1 << self.m) - 1
         starred = {}
         for key, c in self._raise(form_vector(omega) if is_form else omega).items():
-            comp, sign = complement_sign(key, self.m)
-            starred[comp] = linalg.exact(c * scale * sign)
-        return KForm(self.m, self.m - omega.degree, starred) if is_form else starred
+            comp = full ^ key
+            odd = (comp & _inversion_mask(key, True)).bit_count() & 1
+            starred[comp] = linalg.exact(-c * scale if odd else c * scale)
+        return vector_form(self.m, self.m - omega.degree, starred) if is_form else starred
 
 
 def hodge_star(g: Metric, omega: KForm, orientation: Sequence[int] | None = None) -> KForm:

@@ -13,7 +13,8 @@ from itertools import chain
 from typing import Sequence
 
 from .exterior import (
-    EndField, KForm, Metric, VectorField, _end_field, _vector_field, exterior_derivative
+    EndField, KForm, Metric, VectorField, _end_field, _vector_field, exterior_derivative,
+    monomial_indices, monomial_key,
 )
 from .poly import Poly, as_fraction, dot
 
@@ -173,8 +174,8 @@ def _matrix_item(name: str, diff: EndField) -> CheckItem:
 def _form_item(name: str, diff: KForm) -> CheckItem:
     if diff.is_zero():
         return CheckItem(name, True)
-    key = sorted(diff.terms)[0]
-    return CheckItem(name, False, f"residual term {key}: {diff.terms[key].render()}")
+    key = min(diff.terms, key=monomial_indices)
+    return CheckItem(name, False, f"residual term {monomial_indices(key)}: {diff.terms[key].render()}")
 
 
 # -- fundamental 2-form ------------------------------------------------------
@@ -317,7 +318,7 @@ def nijenhuis_tensor(phi: EndField, eta: KForm, xi: VectorField) -> NijenhuisRes
             nonzero = any(comps)
             if nonzero:
                 n_phi[(i, j)] = value
-            correction = d_eta.terms.get((i, j))
+            correction = d_eta.terms.get(monomial_key((i, j)))
             if correction is not None:
                 value = value + xi.scaled(correction * 2)
                 nonzero = any(value.components)

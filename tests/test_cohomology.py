@@ -18,12 +18,8 @@ from cosym3 import (
     verify_ladder,
     wedge,
 )
-from cosym3.cohomology import (
-    EPS_ORDER,
-    NonCompactError,
-    form_vector,
-    monomial_tuples,
-)
+from cosym3.cohomology import EPS_ORDER, NonCompactError
+from cosym3.exterior import form_vector, monomial_keys, vector_form
 from cosym3 import linalg
 from cosym3.poly import Poly
 
@@ -55,15 +51,15 @@ def test_invariant_forms_right_mult_i():
         assert dims[q] == kernel_dim_oracle(r_i, q)
     # The invariant 2-forms span {dx12, dx34, dx13 - dx24, dx14 + dx23}.
     basis = invariant_forms(r_i, 2)
-    tuples = monomial_tuples(4, 2)
-    got = [[f.get(t, 0) for t in tuples] for f in basis]
+    keys = monomial_keys(4, 2)
+    got = [[f.get(key, 0) for key in keys] for f in basis]
     expected_forms = [
         KForm(4, 2, {(0, 1): 1}),
         KForm(4, 2, {(2, 3): 1}),
         KForm(4, 2, {(0, 2): 1, (1, 3): -1}),
         KForm(4, 2, {(0, 3): 1, (1, 2): 1}),
     ]
-    expected = [[form_vector(f).get(t, 0) for t in tuples] for f in expected_forms]
+    expected = [[form_vector(f).get(key, 0) for key in keys] for f in expected_forms]
     assert oracles.rref(got) == oracles.rref(expected)
 
 
@@ -169,7 +165,7 @@ def test_e_blocks_match_eta_wedge_xi_contraction():
         for k, basis in enumerate(bases):
             expected = {}
             for j, v in enumerate(basis.vectors):
-                image = wedge(s.eta, interior_product(s.xi, KForm(7, k, v))) if k else KForm(7, 0)
+                image = wedge(s.eta, interior_product(s.xi, vector_form(7, k, v))) if k else KForm(7, 0)
                 col = basis.coordinates(form_vector(image))
                 assert col is not None
                 expected.update(((i, j), x) for i, x in col.items())
@@ -245,7 +241,7 @@ def test_l_squared_zero(torus7):
     eta1 = t.structure(1).eta
     for k in range(6):
         for f in harmonic_space(space, t, k):
-            assert wedge(eta1, wedge(eta1, KForm(7, k, f))).is_zero()
+            assert wedge(eta1, wedge(eta1, vector_form(7, k, f))).is_zero()
 
 
 def test_betti_checks(torus7_table, m7f_table):

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import threading
@@ -25,10 +26,11 @@ from cosym3 import (
 from cosym3 import linalg
 from cosym3.exterior import (
     MetricError,
-    _merge,
-    complement_sign,
     form_vector,
     monomial_images,
+    monomial_indices,
+    monomial_key,
+    monomial_keys,
     sort_with_sign,
     sparse_contract,
     sparse_wedge,
@@ -41,6 +43,16 @@ import randgen
 
 def dx(m, i):
     return KForm.coordinate(m, i)
+
+
+def keyed(v: dict) -> dict:
+    """A dict over increasing index tuples, rekeyed by monomial keys."""
+    return {monomial_key(t): x for t, x in v.items()}
+
+
+def tupled(v: dict) -> dict:
+    """A dict over monomial keys, rekeyed by increasing index tuples."""
+    return {monomial_indices(key): x for key, x in v.items()}
 
 
 def test_wedge_antisymmetry_unit_nilpotence():
@@ -223,7 +235,7 @@ def test_inner_product_needs_no_square_det():
         for k in range(m + 1):
             a, b = (randgen.form(rng, m, k, constant=True) for _ in range(2))
             assert form_inner_product(g, a, b) == oracles.gram_inner(
-                mat, form_vector(a), form_vector(b)
+                mat, tupled(form_vector(a)), tupled(form_vector(b))
             )
     for bad in ([[1, 1], [1, 1]], [[-1, 0], [0, -1]]):
         with pytest.raises(MetricError, match="not positive definite"):
@@ -275,7 +287,9 @@ def test_constant_forms_match_determinant_oracles(m):
     for k in range(m + 1):
         tuples = list(combinations(range(m), k))
         images = {t: oracles.minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
-        assert monomial_images(mat, tuples) == images
+        assert monomial_images(mat, map(monomial_key, tuples)) == {
+            monomial_key(t): keyed(image) for t, image in images.items()
+        }
         alpha, beta = (
             {t: randgen.fraction(rng, False) for t in rng.sample(tuples, min(4, len(tuples)))}
             for _ in range(2)
@@ -286,8 +300,8 @@ def test_constant_forms_match_determinant_oracles(m):
         assert hodge_star(g, form, orientation=odd) == KForm(
             m, m - k, oracles.gram_star(g_mat, alpha, odd)
         )
-        assert HodgeOperator(g)(alpha) == oracles.gram_star(g_mat, alpha)
-        assert HodgeOperator(g, odd)(alpha) == oracles.gram_star(g_mat, alpha, odd)
+        assert HodgeOperator(g)(keyed(alpha)) == keyed(oracles.gram_star(g_mat, alpha))
+        assert HodgeOperator(g, odd)(keyed(alpha)) == keyed(oracles.gram_star(g_mat, alpha, odd))
         assert form_inner_product(g, form, KForm(m, k, beta)) == oracles.gram_inner(
             g_mat, alpha, beta
         )
@@ -514,22 +528,71 @@ def test_dd_zero_random_polynomials(data):
     assert exterior_derivative(exterior_derivative(omega)).is_zero()
 
 
-increasing_tuples = st.sets(st.integers(0, 14), max_size=8).map(lambda s: tuple(sorted(s)))
+@st.composite
+def key_kernel_cases(draw):
+    """A chart dimension m <= 15, two degrees, a tuple-keyed constant form
+    of each degree with a few terms, and a vector field's support."""
+    m = draw(st.integers(1, 15))
+    coefficient = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+    def form(degree):
+        monomials = st.permutations(range(m)).map(lambda p: tuple(sorted(p[:degree])))
+        return draw(st.dictionaries(monomials, coefficient, min_size=1, max_size=3))
+
+    a, b = form(draw(st.integers(0, m))), form(draw(st.integers(0, m)))
+    xi = draw(st.dictionaries(st.integers(0, m - 1), coefficient, max_size=3))
+    return m, a, b, xi
 
 
-@given(increasing_tuples, increasing_tuples)
-def test_merge_matches_sort_with_sign(ka, kb):
-    # Overlapping tuples included: the sign is then 0.
-    assert _merge(ka, kb) == sort_with_sign(ka + kb)
+def _entries(v: dict) -> dict:
+    """Entries as the oracles' term dicts of polynomials in no variables."""
+    return {key: {(): Fraction(c)} for key, c in v.items()}
 
 
-def test_complement_sign_matches_sort_with_sign():
-    for m in range(10):
+@settings(max_examples=150, deadline=None)
+@given(key_kernel_cases(), st.integers(0, 2**32))
+def test_int_key_kernel_matches_tuple_references(case, seed):
+    # Keys against index tuples: the wedge key and sign, contraction, d and
+    # the Hodge complement, each against sort_with_sign and the tuple-keyed
+    # oracles, with the two boundary helpers round-tripped on the way.
+    m, a, b, xi = case
+    for t in (*a, *b):
+        assert monomial_indices(monomial_key(t)) == t
+    for ta in a:
+        for tb in b:
+            merged, sign = sort_with_sign(ta + tb)
+            expected = {monomial_key(merged): sign} if sign else {}
+            assert sparse_wedge({monomial_key(ta): 1}, {monomial_key(tb): 1}) == expected
+    # Two- and three-term factors put either side in the outer loop.
+    for left, right in ((a, b), (b, a)):
+        product = sparse_wedge(keyed(left), keyed(right))
+        assert _entries(tupled(product)) == oracles.form_wedge(_entries(left), _entries(right))
+    comps = [{(): Fraction(xi[i])} if i in xi else {} for i in range(m)]
+    for v in (a, b):
+        if any(v):
+            assert _entries(tupled(sparse_contract(xi, keyed(v)))) == oracles.form_contract(comps, _entries(v))
+    degree = len(next(iter(a)))
+    rng = random.Random(seed)
+    form = KForm(m, degree, {t: randgen.poly(rng, m) * c for t, c in a.items()})
+    assert _terms(exterior_derivative(form)) == oracles.form_d(_terms(form), m)
+    star = HodgeOperator(Metric.identity(m))
+    for t, c in a.items():
+        comp = tuple(i for i in range(m) if i not in t)
+        assert star({monomial_key(t): c}) == {monomial_key(comp): c * sort_with_sign(t + comp)[1]}
+    if m <= 6:
+        g_mat = _square_det_metric(rng, m)
+        assert HodgeOperator(Metric.from_fractions(g_mat))(keyed(a)) == keyed(oracles.gram_star(g_mat, a))
+        mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
+        images = monomial_images(mat, map(monomial_key, a))
+        assert images == {monomial_key(t): keyed(oracles.minor_pullback(mat, {t: 1})) for t in a}
+
+
+def test_monomial_keys_are_the_increasing_keys_of_each_degree():
+    for m in range(8):
         for k in range(m + 1):
-            for key in combinations(range(m), k):
-                comp, sign = complement_sign(key, m)
-                assert comp == tuple(i for i in range(m) if i not in key)
-                assert sign == sort_with_sign(key + comp)[1]
+            keys = monomial_keys(m, k)
+            assert len(keys) == math.comb(m, k) and keys == sorted(set(keys))
+            assert all(key.bit_count() == k and key < 1 << m for key in keys)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -538,18 +601,18 @@ def test_monomial_images_without_prefixes_match_minors(m):
     # odd-length prefixes are missing and get built on the way.
     rng = random.Random(40 + m)
     mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
-    wanted = [key for k in range(0, m + 1, 2) for key in combinations(range(m), k)]
+    wanted = [key for k in range(0, m + 1, 2) for key in monomial_keys(m, k)]
     rng.shuffle(wanted)
     images = monomial_images(mat, wanted)
     assert list(images) == wanted
     for key in wanted:
-        assert images[key] == oracles.minor_pullback(mat, {key: Fraction(1)})
+        assert images[key] == keyed(oracles.minor_pullback(mat, {monomial_indices(key): Fraction(1)}))
 
 
 def _star_requests(rng, m):
-    tuples = [key for k in range(m + 1) for key in combinations(range(m), k)]
+    keys = [key for k in range(m + 1) for key in monomial_keys(m, k)]
     return [
-        {key: randgen.fraction(rng, False) for key in rng.sample(tuples, 3)}
+        {key: randgen.fraction(rng, False) for key in rng.sample(keys, 3)}
         for _ in range(12)
     ]
 
@@ -596,14 +659,15 @@ def test_threads_sharing_one_hodge_operator_get_serial_results():
 
 def _terms(form: KForm) -> dict:
     """The oracles' view of a form: {index tuple: term dict}."""
-    return {key: dict(p.terms) for key, p in form.terms.items()}
+    return {monomial_indices(key): dict(p.terms) for key, p in form.terms.items()}
 
 
 def _assert_form_canonical(form: KForm, m: int, degree: int):
-    """Strictly increasing keys, no zero Poly, coefficients int when integral."""
+    """Int keys of ``degree`` indices below m, no zero Poly, coefficients int
+    when integral."""
     assert type(form) is KForm and (form.m, form.degree) == (m, degree)
     for key, p in form.terms.items():
-        assert len(key) == degree and all(a < b for a, b in zip(key, key[1:]))
+        assert type(key) is int and key.bit_count() == degree and key < 1 << m
         assert type(p) is Poly and p.nvars == m and p.terms
         assert all(
             type(c) is int or (type(c) is Fraction and c.denominator > 1)
@@ -702,7 +766,7 @@ def test_sparse_kernels_on_entries_match_per_term_oracle(seed, m):
     xi = {i: c for i in range(m) if (c := randgen.fraction(rng))}
 
     def entries(d):
-        return {key: {(): Fraction(c)} for key, c in d.items()}
+        return _entries(tupled(d))
 
     assert entries(sparse_wedge(a, b)) == oracles.form_wedge(entries(a), entries(b))
     expected = oracles.form_contract([{(): Fraction(xi[i])} if i in xi else {} for i in range(m)], entries(a))
@@ -718,7 +782,10 @@ def test_sum_difference_and_scaled_match_per_term_oracle(seed, m):
     a = KForm(m, degree, _raw_form_terms(rng, m, degree, 4))
     # b repeats a's keys, half of them with a's coefficient negated, so that
     # a + b cancels there.
-    shared = {k: -p if rng.random() < 0.5 else randgen.poly(rng, m) for k, p in a.terms.items()}
+    shared = {
+        monomial_indices(k): -p if rng.random() < 0.5 else randgen.poly(rng, m)
+        for k, p in a.terms.items()
+    }
     b = KForm(m, degree, {**_raw_form_terms(rng, m, degree, 2), **shared})
     factor = randgen.poly(rng, m)
     ta, tb = _terms(a), _terms(b)
