@@ -587,6 +587,36 @@ def test_int_key_kernel_matches_tuple_references(case, seed):
         assert images == {monomial_key(t): keyed(oracles.minor_pullback(mat, {t: 1})) for t in a}
 
 
+increasing_tuples = st.sets(st.integers(0, 14), max_size=8).map(lambda s: tuple(sorted(s)))
+
+
+@given(increasing_tuples, increasing_tuples)
+def test_merge_matches_sort_with_sign(ka, kb):
+    # The key and sign of dx_A ^ dx_B, overlapping tuples included, where
+    # the product is 0.  A second term dx_15 on the left makes dx_B the
+    # kernel's outer factor.
+    def expected(*terms):
+        out = {}
+        for t in terms:
+            merged, sign = sort_with_sign(t + kb)
+            if sign:
+                out[monomial_key(merged)] = sign
+        return out
+
+    a, b = {monomial_key(ka): 1}, {monomial_key(kb): 1}
+    assert sparse_wedge(a, b) == expected(ka)
+    assert sparse_wedge({**a, 1 << 15: 1}, b) == expected(ka, (15,))
+
+
+def test_complement_sign_matches_sort_with_sign():
+    for m in range(10):
+        star = HodgeOperator(Metric.identity(m))
+        for k in range(m + 1):
+            for key in combinations(range(m), k):
+                comp = tuple(i for i in range(m) if i not in key)
+                assert star({monomial_key(key): 1}) == {monomial_key(comp): sort_with_sign(key + comp)[1]}
+
+
 def test_monomial_keys_are_the_increasing_keys_of_each_degree():
     for m in range(8):
         for k in range(m + 1):
