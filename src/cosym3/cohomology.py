@@ -394,8 +394,8 @@ def verify_ladder(
                 if None in columns:
                     items.append(CheckItem(name, False, "image leaves the target component"))
                 else:
-                    ok = len(linalg.sparse_rref(columns)) == len(src)
-                    items.append(CheckItem(name, ok, None if ok else "restriction is not injective"))
+                    injective = len(linalg.sparse_rref(columns)) == len(src)
+                    items.append(CheckItem.check(name, injective, "restriction is not injective"))
     return CheckReport(tuple(items))
 
 
@@ -417,33 +417,29 @@ def betti_checks(table: HarmonicTable, n: int) -> CheckReport:
         return bh[j] if 0 <= j <= m else 0
 
     items = []
-
-    def check(name: str, ok: bool, fail: str, passed: str | None = None) -> None:
-        items.append(CheckItem(name, ok, passed if ok else fail))
-
     for k in range(m + 1):
         expected = bh_at(k) + 3 * bh_at(k - 1) + 3 * bh_at(k - 2) + bh_at(k - 3)
-        check(f"betti_formula[k={k}]", b[k] == expected, f"b_{k} = {b[k]}, formula gives {expected}")
+        formula = f"b_{k} = {b[k]}, formula gives {expected}"
+        items.append(CheckItem.check(f"betti_formula[k={k}]", b[k] == expected, formula))
     for k in range(1, m + 1, 2):
-        check(f"basic_betti_div4[k={k}]", bh[k] % 4 == 0, f"bh_{k} = {bh[k]}")
+        items.append(CheckItem.check(f"basic_betti_div4[k={k}]", bh[k] % 4 == 0, f"bh_{k} = {bh[k]}"))
         total = b[k - 1] + b[k]
-        check(f"betti_sum_div4[k={k}]", total % 4 == 0, f"b_{k - 1} + b_{k} = {total}")
+        items.append(CheckItem.check(f"betti_sum_div4[k={k}]", total % 4 == 0, f"b_{k - 1} + b_{k} = {total}"))
     for k in range(0, 2 * n + 2):
         bound = math.comb(k + 2, 2)
-        check(
-            f"betti_lower_bound[k={k}]",
-            b[k] >= bound,
-            f"b_{k} = {b[k]} < {bound}",
+        items.append(CheckItem.check(
+            f"betti_lower_bound[k={k}]", b[k] >= bound, f"b_{k} = {b[k]} < {bound}",
             f"b_{k} = {b[k]} >= C({k}+2,2) = {bound}",
-        )
+        ))
     for k in range(0, (2 * n + 1) // 2 + 1):
         bound = math.comb(k + 2, 2)
         witness = f"b_{2 * k} = {b[2 * k]} >= {bound} (weaker even-degree bound)"
-        check(f"wakakuwa_bound[k={k}]", b[2 * k] >= bound, witness, witness)
+        items.append(CheckItem.check(f"wakakuwa_bound[k={k}]", b[2 * k] >= bound, witness, witness))
     for k in range(m + 1):
-        check(f"poincare_duality[k={k}]", b[k] == b[m - k], f"b_{k} = {b[k]} != b_{m - k} = {b[m - k]}")
+        duality = f"b_{k} = {b[k]} != b_{m - k} = {b[m - k]}"
+        items.append(CheckItem.check(f"poincare_duality[k={k}]", b[k] == b[m - k], duality))
     euler = sum((-1) ** k * b[k] for k in range(m + 1))
-    check("euler_characteristic_zero", euler == 0, f"chi = {euler}")
+    items.append(CheckItem.check("euler_characteristic_zero", euler == 0, f"chi = {euler}"))
     return CheckReport(tuple(items))
 
 
@@ -473,22 +469,18 @@ def quaternion_module(
     for alpha in (1, 2, 3):
         phi = t.structure(alpha).phi.to_fractions()
         mat = operator_matrix([_pulled_back(phi, v) for v in span.vectors], span)
-        name = f"hmodule_preserved[{alpha}]"
-        if mat is None:
-            items.append(CheckItem(name, False, "pullback leaves the component"))
-        else:
-            items.append(CheckItem(name, True))
+        preserved = mat is not None
+        items.append(CheckItem.check(f"hmodule_preserved[{alpha}]", preserved, "pullback leaves the component"))
+        if preserved:
             mats[alpha] = mat
     if len(mats) == 3:
         minus_id = {(i, i): -ONE for i in range(dim)}
         for alpha in (1, 2, 3):
-            ok = linalg.sparse_product(mats[alpha], mats[alpha]) == minus_id
-            items.append(CheckItem(f"hmodule_I{alpha}_squared_minus_id", ok, None if ok else "I^2 != -id"))
+            squared = linalg.sparse_product(mats[alpha], mats[alpha])
+            items.append(CheckItem.check(f"hmodule_I{alpha}_squared_minus_id", squared == minus_id, "I^2 != -id"))
         for (a, b_, c) in EVEN_PERMS:
             ok = linalg.sparse_product(mats[a], mats[b_]) == {key: -x for key, x in mats[c].items()}
-            witness = None if ok else "quaternion relation fails"
-            items.append(CheckItem(f"hmodule_I{a}I{b_}_eq_minus_I{c}", ok, witness))
-    ok = dim % 4 == 0
-    witness = f"dim = {dim}" if ok else f"dim = {dim} not divisible by 4"
-    items.append(CheckItem(f"hmodule_dim_div4[k={k}]", ok, witness))
+            items.append(CheckItem.check(f"hmodule_I{a}I{b_}_eq_minus_I{c}", ok, "quaternion relation fails"))
+    div4 = dim % 4 == 0
+    items.append(CheckItem.check(f"hmodule_dim_div4[k={k}]", div4, f"dim = {dim} not divisible by 4", f"dim = {dim}"))
     return CheckReport(tuple(items))

@@ -472,8 +472,8 @@ class Metric(EndField):
     """Symmetric endomorphism field read as a 2-tensor.
 
     Symmetry is enforced at construction.  Positive definiteness is a
-    semantic property checked by the structure verifier (leading principal
-    minors for constant metrics, sample-point evaluation otherwise), so that
+    semantic property checked by the structure verifier (the inertia of g
+    for constant metrics, of g at sample points otherwise), so that
     deliberately broken inputs can still be represented and diagnosed.
     """
 
@@ -496,33 +496,11 @@ class Metric(EndField):
         return out
 
     def is_positive_definite_at(self, point: Sequence) -> bool:
-        return _positive_definite_det(self.evaluate(point)) is not None
+        return linalg.signature(self.evaluate(point))[0] == self.m
 
     def is_positive_definite(self) -> bool:
-        """Leading-principal-minor test; constant metrics only."""
-        return _positive_definite_det(self.to_fractions()) is not None
-
-
-def _positive_definite_det(mat: linalg.Matrix) -> linalg.Entry | None:
-    """det(mat) when mat is positive definite, else None: Sylvester's
-    criterion by one elimination without row exchanges.
-
-    The k-th pivot is D_k / D_(k-1), the ratio of consecutive leading
-    minors, so the first pivot <= 0 marks the first leading minor <= 0, and
-    the product of the pivots is the determinant.
-    """
-    a = [list(row) for row in mat]
-    det = 1
-    for k, pivot_row in enumerate(a):
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            return None
-        det *= pivot
-        for row in a[k + 1 :]:
-            if row[k]:
-                f = Fraction(row[k]) / pivot
-                row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
-    return linalg.exact(det)
+        """The inertia of g is (m, 0, 0); constant metrics only."""
+        return linalg.signature(self.to_fractions())[0] == self.m
 
 
 # -- core operations --------------------------------------------------------
@@ -703,11 +681,10 @@ class HodgeOperator:
 
     def __init__(self, g: Metric, orientation: Sequence[int] | None = None):
         self.m = g.m
-        mat = g.to_fractions()
-        d = _positive_definite_det(mat)
-        if d is None:
+        if not g.is_positive_definite():
             raise MetricError("metric is degenerate or not positive definite")
-        sqrt_det = _sqrt_fraction(d)
+        mat = g.to_fractions()
+        sqrt_det = _sqrt_fraction(linalg.det(mat))
         if sqrt_det is None:
             raise MetricError(
                 "det(g) is not a rational square; exact Hodge star unavailable"
@@ -761,10 +738,9 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
-    mat = g.to_fractions()
-    if _positive_definite_det(mat) is None:
+    if not g.is_positive_definite():
         raise MetricError("metric is degenerate or not positive definite")
-    raised = _pulled_back(linalg.inverse(mat), form_vector(alpha))
+    raised = _pulled_back(linalg.inverse(g.to_fractions()), form_vector(alpha))
     b = form_vector(beta)
     return sum(x * b[key] for key, x in raised.items() if key in b)
 

@@ -237,14 +237,15 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
         for j in range(count)
         for l in range(count)
     )
+    pos, neg, zero = linalg.signature(killing)
     return SpanAnalysis(
         independent=True,
         closed=True,
         span_dim=count,
         bracket_coeffs=coeffs,
         killing=killing,
-        killing_rank=linalg.rank(killing),
-        signature=linalg.signature(killing),
+        killing_rank=pos + neg,
+        signature=(pos, neg, zero),
         jacobi_ok=jacobi_ok,
         killing_invariance_ok=invariance_ok,
     )

@@ -245,8 +245,11 @@ def det(a: Matrix) -> Entry:
 def signature(a: Matrix) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric rational matrix.
 
-    Diagonalization by congruence with exact pivots; when the remaining block
-    has a zero diagonal, a row/column addition creates a usable pivot.
+    Diagonalization by congruence with exact pivots, each step replacing the
+    remaining block by its Schur complement; when that block has a zero
+    diagonal, adding one row and column to another creates a usable pivot.
+    By Sylvester's law of inertia this decides positive definiteness (all
+    n positive) and the rank (positive + negative) in one elimination.
     """
     n = len(a)
     for i in range(n):
@@ -254,42 +257,34 @@ def signature(a: Matrix) -> tuple[int, int, int]:
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
     m = copy_matrix(a)
-    pos = neg = zero = 0
+    pos = neg = 0
     live = list(range(n))
     while live:
         k = next((i for i in live if m[i][i]), None)
         if k is None:
-            pair = None
-            for i in live:
-                for j in live:
-                    if i != j and m[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in live for j in live if m[i][j]), None)
             if pair is None:
-                zero += len(live)
                 break
-            i, j = pair
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            k = i
+            # x_i -> x_i + x_j makes entry (i, i) equal to 2 m[i][j] != 0.
+            k, j = pair
+            for c in live:
+                m[k][c] += m[j][c]
+            for r in live:
+                m[r][k] += m[r][j]
         p = m[k][k]
         if p > 0:
             pos += 1
         else:
             neg += 1
         live.remove(k)
+        pivot_row = m[k]
         for i in live:
             if m[i][k]:
                 f = quotient(m[i][k], p)
-                for c in range(n):
-                    m[i][c] -= f * m[k][c]
-                for r in range(n):
-                    m[r][i] -= f * m[r][k]
-    return pos, neg, zero
+                row = m[i]
+                for j in live:
+                    row[j] -= f * pivot_row[j]
+    return pos, neg, n - pos - neg
 
 
 def matrix_order(a: Matrix, bound: int) -> int | None:

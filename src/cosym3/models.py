@@ -99,28 +99,28 @@ def _parse_unit(u: str) -> tuple[int, str]:
     return sign, u
 
 
+def _quaternion_mult(u: str, right: bool) -> EndField:
+    """Matrix of x -> x*u (``right``) or x -> u*x on H = R^4 in the basis (1, i, j, k)."""
+    sign, unit = _parse_unit(u)
+    mat = [[0] * 4 for _ in range(4)]
+    for col, b in enumerate(_UNITS):
+        s, w = _QMUL[(b, unit) if right else (unit, b)]
+        mat[_UNITS.index(w)][col] = s * sign
+    return EndField.from_fractions(mat)
+
+
 def quaternion_right_mult(u: str) -> EndField:
     """Matrix of x -> x*u on H = R^4 in the basis (1, i, j, k).
 
     Right multiplications commute with the left-multiplication complex
     structures, are orthogonal, and preserve the integer lattice.
     """
-    sign, unit = _parse_unit(u)
-    mat = [[Fraction(0)] * 4 for _ in range(4)]
-    for col, b in enumerate(_UNITS):
-        s, w = _QMUL[(b, unit)]
-        mat[_UNITS.index(w)][col] = Fraction(s * sign)
-    return EndField.from_fractions(mat)
+    return _quaternion_mult(u, right=True)
 
 
 def quaternion_left_mult(u: str) -> EndField:
     """Matrix of x -> u*x on H = R^4 in the basis (1, i, j, k)."""
-    sign, unit = _parse_unit(u)
-    mat = [[Fraction(0)] * 4 for _ in range(4)]
-    for col, b in enumerate(_UNITS):
-        s, w = _QMUL[(unit, b)]
-        mat[_UNITS.index(w)][col] = Fraction(s * sign)
-    return EndField.from_fractions(mat)
+    return _quaternion_mult(u, right=False)
 
 
 # -- hyper-Kahler data -------------------------------------------------------
@@ -205,33 +205,16 @@ def check_hyper_kahler_isometry(
     if not f.is_constant():
         raise ModelError("monodromy must be a constant endomorphism field")
     mat = f.to_fractions()
-    items = []
     integral = all(x.denominator == 1 for row in mat for x in row)
-    items.append(
-        CheckItem("monodromy_integer_entries", integral, None if integral else "non-integer entry")
-    )
     d_det = linalg.det(mat)
-    unimodular = d_det in (1, -1)
-    items.append(
-        CheckItem(
-            "monodromy_unimodular",
-            unimodular,
-            None if unimodular else f"det = {d_det}",
-        )
-    )
     isometry = f.transpose() * data.metric * f == data.metric
-    items.append(
-        CheckItem("monodromy_isometry", isometry, None if isometry else "f^T G f != G")
-    )
+    items = [
+        CheckItem.check("monodromy_integer_entries", integral, "non-integer entry"),
+        CheckItem.check("monodromy_unimodular", d_det in (1, -1), f"det = {d_det}"),
+        CheckItem.check("monodromy_isometry", isometry, "f^T G f != G"),
+    ]
     for idx, j in enumerate(data.j_ops, start=1):
-        commutes = f * j == j * f
-        items.append(
-            CheckItem(
-                f"monodromy_commutes_J{idx}",
-                commutes,
-                None if commutes else f"f J{idx} != J{idx} f",
-            )
-        )
+        items.append(CheckItem.check(f"monodromy_commutes_J{idx}", f * j == j * f, f"f J{idx} != J{idx} f"))
     order = linalg.matrix_order(mat, order_bound)
     report = CheckReport(tuple(items))
     if order is None and report.passed:
@@ -325,36 +308,20 @@ def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
     if topo.kind != "mapping_torus" or topo.monodromy is None:
         raise ModelError("monodromy invariance applies to mapping_torus models only")
     deck = EndField.block_diag(topo.monodromy, EndField.identity(3))
-    items = []
-    ok = deck.transpose() * t.g * deck == t.g
-    items.append(
-        CheckItem("monodromy_fixes_metric", ok, None if ok else "F^T g F != g")
-    )
+    items = [CheckItem.check("monodromy_fixes_metric", deck.transpose() * t.g * deck == t.g, "F^T g F != g")]
     for alpha in (1, 2, 3):
         s = t.structure(alpha)
-        ok = pullback(deck, s.eta) == s.eta
-        items.append(
-            CheckItem(
-                f"monodromy_fixes_eta[{alpha}]", ok, None if ok else "F* eta != eta"
-            )
-        )
+        tag = f"[{alpha}]"
+        items.append(CheckItem.check(f"monodromy_fixes_eta{tag}", pullback(deck, s.eta) == s.eta, "F* eta != eta"))
         try:
             phi_form = fundamental_form(s)
-            ok = pullback(deck, phi_form) == phi_form
-            witness = None if ok else "F* Phi != Phi"
         except StructureError as exc:
-            ok, witness = False, str(exc)
-        items.append(CheckItem(f"monodromy_fixes_Phi[{alpha}]", ok, witness))
-        ok = deck * s.phi == s.phi * deck
-        items.append(
-            CheckItem(
-                f"monodromy_fixes_phi[{alpha}]", ok, None if ok else "F phi != phi F"
-            )
-        )
-        ok = deck.apply(s.xi) == s.xi
-        items.append(
-            CheckItem(f"monodromy_fixes_xi[{alpha}]", ok, None if ok else "F xi != xi")
-        )
+            items.append(CheckItem(f"monodromy_fixes_Phi{tag}", False, str(exc)))
+        else:
+            fixed = pullback(deck, phi_form) == phi_form
+            items.append(CheckItem.check(f"monodromy_fixes_Phi{tag}", fixed, "F* Phi != Phi"))
+        items.append(CheckItem.check(f"monodromy_fixes_phi{tag}", deck * s.phi == s.phi * deck, "F phi != phi F"))
+        items.append(CheckItem.check(f"monodromy_fixes_xi{tag}", deck.apply(s.xi) == s.xi, "F xi != xi"))
     return CheckReport(tuple(items))
 
 

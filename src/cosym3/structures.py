@@ -39,6 +39,16 @@ class CheckItem:
     passed: bool
     witness: str | None = None
 
+    @classmethod
+    def check(cls, name: str, ok: bool, fail: str, passed: str | None = None) -> "CheckItem":
+        """Pass with the note ``passed``, if any, or fail with ``fail``."""
+        return cls(name, ok, passed if ok else fail)
+
+    @classmethod
+    def from_witness(cls, name: str, witness: str | None) -> "CheckItem":
+        """Pass when a checker found no witness, else fail with it."""
+        return cls(name, witness is None, witness)
+
     def to_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
         if self.witness is not None:
@@ -151,24 +161,18 @@ def outer_xi_eta(xi: VectorField, eta_comps: Sequence[Poly]) -> EndField:
     return _end_field(EndField, xi.m, rows)
 
 
-def _first_entry_witness(field: EndField, label: str) -> str | None:
-    """The first nonzero entry in row-major order."""
-    for i, row in enumerate(field.rows):
-        for j, p in row.items():
-            return f"{label} entry ({i + 1},{j + 1}): {p.render()}"
-    return None
-
-
-def _first_component_witness(comps: Sequence[Poly], label: str) -> str | None:
-    for i, p in enumerate(comps):
-        if not p.is_zero():
-            return f"{label} component {i + 1}: {p.render()}"
-    return None
-
-
 def _matrix_item(name: str, diff: EndField) -> CheckItem:
-    witness = _first_entry_witness(diff, "residual")
-    return CheckItem(name, witness is None, witness)
+    """Fails with the first nonzero entry of ``diff`` in row-major order."""
+    entries = (
+        f"residual entry ({i + 1},{j + 1}): {p.render()}" for i, row in enumerate(diff.rows) for j, p in row.items()
+    )
+    return CheckItem.from_witness(name, next(entries, None))
+
+
+def _vector_item(name: str, comps: Sequence[Poly], label: str) -> CheckItem:
+    """Fails with the first nonzero component of ``comps``."""
+    nonzero = (f"{label} component {i + 1}: {p.render()}" for i, p in enumerate(comps) if not p.is_zero())
+    return CheckItem.from_witness(name, next(nonzero, None))
 
 
 def _form_item(name: str, diff: KForm) -> CheckItem:
@@ -196,14 +200,6 @@ def fundamental_form(s: AlmostContactMetricStructure) -> KForm:
     return KForm(s.m, 2, terms)
 
 
-def _fundamental_form_or_none(s) -> tuple[KForm | None, CheckItem]:
-    try:
-        phi_form = fundamental_form(s)
-    except StructureError as exc:
-        return None, CheckItem("fundamental_form_antisymmetric", False, str(exc))
-    return phi_form, CheckItem("fundamental_form_antisymmetric", True)
-
-
 # -- pointwise checks --------------------------------------------------------
 
 
@@ -214,22 +210,14 @@ def check_almost_contact(s: AlmostContactMetricStructure, label: str = "") -> Ch
     prefix = f"almost_contact{label}"
     phi2 = s.phi * s.phi
     expected = outer_xi_eta(s.xi, eta) - EndField.identity(m)
-    items = [_matrix_item(f"{prefix}.phi_squared", phi2 - expected)]
-    phi_xi = s.phi.apply(s.xi)
-    witness = _first_component_witness(phi_xi.components, "phi(xi)")
-    items.append(CheckItem(f"{prefix}.phi_xi_zero", witness is None, witness))
-    eta_phi = s.phi.transpose().apply(VectorField(eta)).components
-    witness = _first_component_witness(eta_phi, "eta.phi")
-    items.append(CheckItem(f"{prefix}.eta_phi_zero", witness is None, witness))
+    eta_phi = s.phi.transpose().apply(VectorField(eta))
     pairing = dot(m, zip(eta, s.xi.components)) - Poly.const(m, 1)
-    items.append(
-        CheckItem(
-            f"{prefix}.eta_xi_one",
-            pairing.is_zero(),
-            None if pairing.is_zero() else f"eta(xi) - 1 = {pairing.render()}",
-        )
-    )
-    return CheckReport(tuple(items))
+    return CheckReport((
+        _matrix_item(f"{prefix}.phi_squared", phi2 - expected),
+        _vector_item(f"{prefix}.phi_xi_zero", s.phi.apply(s.xi).components, "phi(xi)"),
+        _vector_item(f"{prefix}.eta_phi_zero", eta_phi.components, "eta.phi"),
+        CheckItem.check(f"{prefix}.eta_xi_one", pairing.is_zero(), f"eta(xi) - 1 = {pairing.render()}"),
+    ))
 
 
 def check_compatible(s: AlmostContactMetricStructure, label: str = "") -> CheckReport:
@@ -339,42 +327,27 @@ def check_quaternionic(t: ThreeStructure) -> CheckReport:
         items.append(_matrix_item(f"{tag}.phi_c_eq_phi_a_phi_b", diff))
         diff = sc.phi - (-(sb.phi * sa.phi) + outer_xi_eta(sb.xi, eta_a))
         items.append(_matrix_item(f"{tag}.phi_c_eq_minus_phi_b_phi_a", diff))
-        vec = sc.xi - sa.phi.apply(sb.xi)
-        witness = _first_component_witness(vec.components, "xi residual")
-        items.append(CheckItem(f"{tag}.xi_c_eq_phi_a_xi_b", witness is None, witness))
-        vec = sc.xi + sb.phi.apply(sa.xi)
-        witness = _first_component_witness(vec.components, "xi residual")
-        items.append(CheckItem(f"{tag}.xi_c_eq_minus_phi_b_xi_a", witness is None, witness))
-        vec = eta_c - sb.phi.transpose().apply(VectorField(eta_a))
-        witness = _first_component_witness(vec.components, "eta residual")
-        items.append(CheckItem(f"{tag}.eta_c_eq_eta_a_phi_b", witness is None, witness))
-        vec = eta_c + sa.phi.transpose().apply(VectorField(eta_b))
-        witness = _first_component_witness(vec.components, "eta residual")
-        items.append(CheckItem(f"{tag}.eta_c_eq_minus_eta_b_phi_a", witness is None, witness))
+        for name, vec, label in (
+            ("xi_c_eq_phi_a_xi_b", sc.xi - sa.phi.apply(sb.xi), "xi residual"),
+            ("xi_c_eq_minus_phi_b_xi_a", sc.xi + sb.phi.apply(sa.xi), "xi residual"),
+            ("eta_c_eq_eta_a_phi_b", eta_c - sb.phi.transpose().apply(VectorField(eta_a)), "eta residual"),
+            ("eta_c_eq_minus_eta_b_phi_a", eta_c + sa.phi.transpose().apply(VectorField(eta_b)), "eta residual"),
+        ):
+            items.append(_vector_item(f"{tag}.{name}", vec.components, label))
     return CheckReport(tuple(items))
 
 
 def _positive_definite_item(g: Metric, sample_points) -> CheckItem:
+    """By Sylvester's criterion g is positive definite exactly when every
+    leading principal minor is > 0, which the witnesses name."""
+    name = "metric_positive_definite"
     if g.is_constant():
-        ok = g.is_positive_definite()
-        return CheckItem(
-            "metric_positive_definite",
-            ok,
-            None if ok else "a leading principal minor is <= 0",
-        )
+        return CheckItem.check(name, g.is_positive_definite(), "a leading principal minor is <= 0")
     points = list(sample_points) if sample_points else [(0,) * g.m]
     for point in points:
         if not g.is_positive_definite_at(point):
-            return CheckItem(
-                "metric_positive_definite",
-                False,
-                f"leading principal minor <= 0 at sample point {tuple(point)}",
-            )
-    return CheckItem(
-        "metric_positive_definite",
-        True,
-        f"non-constant metric checked at {len(points)} sample point(s)",
-    )
+            return CheckItem(name, False, f"leading principal minor <= 0 at sample point {tuple(point)}")
+    return CheckItem(name, True, f"non-constant metric checked at {len(points)} sample point(s)")
 
 
 def check_three_cosymplectic(
@@ -398,34 +371,19 @@ def check_three_cosymplectic(
         items.extend(check_almost_contact(s, label))
         items.extend(check_compatible(s, label))
         items.append(_form_item(f"closed_eta{label}", exterior_derivative(s.eta)))
-        phi_form, antisym_item = _fundamental_form_or_none(s)
-        items.append(
-            CheckItem(f"fundamental_form_antisymmetric{label}", antisym_item.passed, antisym_item.witness)
-        )
-        if phi_form is None:
-            items.append(
-                CheckItem(f"closed_Phi{label}", False, "fundamental form is not a 2-form")
-            )
+        try:
+            phi_form = fundamental_form(s)
+        except StructureError as exc:
+            items.append(CheckItem(f"fundamental_form_antisymmetric{label}", False, str(exc)))
+            items.append(CheckItem(f"closed_Phi{label}", False, "fundamental form is not a 2-form"))
         else:
+            items.append(CheckItem(f"fundamental_form_antisymmetric{label}", True))
             items.append(_form_item(f"closed_Phi{label}", exterior_derivative(phi_form)))
         nij = nijenhuis_tensor(s.phi, s.eta, s.xi)
-        items.append(
-            CheckItem(
-                f"nijenhuis_phi_zero{label}",
-                nij.phi_tensor_vanishes,
-                nij.witness("n_phi"),
-            )
-        )
-        items.append(
-            CheckItem(
-                f"normality_tensor_zero{label}",
-                nij.normality_tensor_vanishes,
-                nij.witness("n_one"),
-            )
-        )
+        items.append(CheckItem.from_witness(f"nijenhuis_phi_zero{label}", nij.witness("n_phi")))
+        items.append(CheckItem.from_witness(f"normality_tensor_zero{label}", nij.witness("n_one")))
         vec = t.g.apply(s.xi) - VectorField(s.eta_components())
-        witness = _first_component_witness(vec.components, "g(xi) - eta")
-        items.append(CheckItem(f"reeb_metric_dual{label}", witness is None, witness))
+        items.append(_vector_item(f"reeb_metric_dual{label}", vec.components, "g(xi) - eta"))
     items.extend(check_quaternionic(t))
     items.append(_positive_definite_item(t.g, metric_sample_points))
     return CheckReport(tuple(items))
