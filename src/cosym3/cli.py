@@ -504,20 +504,13 @@ def _load_model(args, order_bound: int):
                 data = json.load(fh)
         except OSError as exc:
             raise StructureFileError(f"cannot read {args.input}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StructureFileError(f"invalid JSON in {args.input}: {exc}") from exc
+        except RecursionError as exc:
+            raise StructureFileError(f"invalid JSON in {args.input}: nesting too deep") from exc
         space, t = parse_structure_file(data, order_bound)
         inputs = {"input": args.input}
     return space, t, inputs
-
-
-def _emit(report: dict, args) -> None:
-    text = render_pretty(report) if args.pretty else json.dumps(report, indent=2) + "\n"
-    if args.output and report["command"] != "deform":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -535,6 +528,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         space, t, inputs = _load_model(args, order_bound)
+        out_file = None
         if args.command == "check":
             report = build_check_report(space, t, inputs)
         elif args.command == "betti":
@@ -545,9 +539,6 @@ def main(argv=None) -> int:
             report, out_file = build_deform_report(
                 space, t, args.a, inputs, args.output
             )
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(out_file, indent=2) + "\n")
     except (
         StructureFileError,
         ModelError,
@@ -561,7 +552,17 @@ def main(argv=None) -> int:
     except CohomologyError as exc:
         print(f"cosym3: model inconsistency: {exc}", file=sys.stderr)
         return EXIT_VERDICT_FAIL
-    _emit(report, args)
+    text = render_pretty(report) if args.pretty else json.dumps(report, indent=2) + "\n"
+    if args.output:
+        # deform writes the deformed structure file there, the others their report.
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text if out_file is None else json.dumps(out_file, indent=2) + "\n")
+        except OSError as exc:
+            print(f"cosym3: error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    if out_file is not None or not args.output:
+        sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_VERDICT_FAIL
 
 

@@ -398,3 +398,35 @@ def test_compact_topology_rejects_a_polynomial_metric_entry(tmp_path, capsys, na
     assert (code, out) == (EXIT_USAGE, "")
     assert stderr.startswith("cosym3: error: torus and mapping_torus models require")
     assert "(polynomials are not periodic)" in stderr
+
+
+@pytest.mark.parametrize(
+    "content, err",
+    [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 200_000, "nesting too deep"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_structure_file_rejects_undecodable_text(tmp_path, capsys, content, err):
+    # Undecodable bytes and nesting past the recursion limit are malformed
+    # input too, not a traceback with the verdict-failed code.
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    code, out, stderr = run(capsys, "check", "--input", str(model))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert stderr == f"cosym3: error: invalid JSON in {model}: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--builtin", "torus7"], ["deform", "--builtin", "torus7", "--a", "7/3"]],
+    ids=["report", "deformed-structure"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # check writes its report to --output, deform the deformed structure file.
+    path = tmp_path / "missing" / "x.json"
+    code, out, stderr = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert stderr == f"cosym3: error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
+    assert not path.parent.exists()
