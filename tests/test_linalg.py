@@ -64,6 +64,23 @@ def test_signature():
         linalg.signature([[F(0), F(1)], [F(2), F(0)]])
 
 
+def test_signature_of_zero_diagonal_matrices():
+    # With a zero diagonal the first pivot comes from the pair step, which
+    # adds one row and column to another; later blocks may need it again.
+    a = [[0, 0, 0, 0, 2], [0, 0, -1, 2, 1], [0, -1, 0, 0, 1], [0, 2, 0, 0, 0], [2, 1, 1, 0, 0]]
+    assert linalg.signature(a) == (2, 2, 1)
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = a[j][i] = rng.choice([0, 0, 1, -1, 2])
+        pos, neg, zero = linalg.signature(a)
+        assert (pos, neg, zero) == oracles.symmetric_signature([[F(x) for x in row] for row in a])
+        assert pos + neg == linalg.rank(a)
+
+
 def test_matrix_order():
     rot = [[F(0), F(-1)], [F(1), F(0)]]
     assert linalg.matrix_order(rot, 10) == 4
