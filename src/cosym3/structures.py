@@ -169,9 +169,11 @@ def _matrix_item(name: str, diff: EndField) -> CheckItem:
     return CheckItem.from_witness(name, next(entries, None))
 
 
-def _vector_item(name: str, comps: Sequence[Poly], label: str) -> CheckItem:
-    """Fails with the first nonzero component of ``comps``."""
-    nonzero = (f"{label} component {i + 1}: {p.render()}" for i, p in enumerate(comps) if not p.is_zero())
+def _vector_item(name: str, diff: VectorField, label: str) -> CheckItem:
+    """Fails with the first nonzero component of ``diff``."""
+    nonzero = (
+        f"{label} component {i + 1}: {p.render()}" for i, p in enumerate(diff.components) if not p.is_zero()
+    )
     return CheckItem.from_witness(name, next(nonzero, None))
 
 
@@ -214,8 +216,8 @@ def check_almost_contact(s: AlmostContactMetricStructure, label: str = "") -> Ch
     pairing = dot(m, zip(eta, s.xi.components)) - Poly.const(m, 1)
     return CheckReport((
         _matrix_item(f"{prefix}.phi_squared", phi2 - expected),
-        _vector_item(f"{prefix}.phi_xi_zero", s.phi.apply(s.xi).components, "phi(xi)"),
-        _vector_item(f"{prefix}.eta_phi_zero", eta_phi.components, "eta.phi"),
+        _vector_item(f"{prefix}.phi_xi_zero", s.phi.apply(s.xi), "phi(xi)"),
+        _vector_item(f"{prefix}.eta_phi_zero", eta_phi, "eta.phi"),
         CheckItem.check(f"{prefix}.eta_xi_one", pairing.is_zero(), f"eta(xi) - 1 = {pairing.render()}"),
     ))
 
@@ -333,7 +335,7 @@ def check_quaternionic(t: ThreeStructure) -> CheckReport:
             ("eta_c_eq_eta_a_phi_b", eta_c - sb.phi.transpose().apply(VectorField(eta_a)), "eta residual"),
             ("eta_c_eq_minus_eta_b_phi_a", eta_c + sa.phi.transpose().apply(VectorField(eta_b)), "eta residual"),
         ):
-            items.append(_vector_item(f"{tag}.{name}", vec.components, label))
+            items.append(_vector_item(f"{tag}.{name}", vec, label))
     return CheckReport(tuple(items))
 
 
@@ -383,7 +385,7 @@ def check_three_cosymplectic(
         items.append(CheckItem.from_witness(f"nijenhuis_phi_zero{label}", nij.witness("n_phi")))
         items.append(CheckItem.from_witness(f"normality_tensor_zero{label}", nij.witness("n_one")))
         vec = t.g.apply(s.xi) - VectorField(s.eta_components())
-        items.append(_vector_item(f"reeb_metric_dual{label}", vec.components, "g(xi) - eta"))
+        items.append(_vector_item(f"reeb_metric_dual{label}", vec, "g(xi) - eta"))
     items.extend(check_quaternionic(t))
     items.append(_positive_definite_item(t.g, metric_sample_points))
     return CheckReport(tuple(items))
