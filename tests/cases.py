@@ -151,7 +151,7 @@ def check_reports() -> dict:
 # -- models read from structure files by the pinned CLI runs -------------------
 
 
-def sheared_torus(n: int, shears: int):
+def sheared_torus(n: int, shears: int, seed: int = 5):
     """The flat torus of dimension 4n + 3 pulled back by a seeded A in GL(4n + 3, Z).
 
     x -> A x is a diffeomorphism of the torus, so the result is again a
@@ -161,7 +161,7 @@ def sheared_torus(n: int, shears: int):
     """
     space, t = flat_torus(n)
     m = t.m
-    a_mat = randgen.unimodular(random.Random(5), m, shears=shears)
+    a_mat = randgen.unimodular(random.Random(seed), m, shears=shears)
     a = EndField.from_fractions(a_mat)
     a_inv = EndField.from_fractions(inverse(a_mat))
     g = t.g.to_fractions()

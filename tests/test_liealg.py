@@ -295,3 +295,43 @@ def test_pipeline_entries_are_ints_or_fractions(name, torus7, torus7_table, m7f_
     else:
         # Integral data stays int end to end; no Fraction is made for it.
         assert kinds == {int}
+
+
+class _DtStar(HodgeOperator):
+    """The Hodge star with dx5 (key 1 << 4) added to every 1-form it returns."""
+
+    def __call__(self, omega):
+        out = super().__call__(omega)
+        if out and min(out).bit_count() == 1:
+            out = linalg.sparse_sum([*out.items(), (1 << 4, 1)])
+        return out
+
+
+@pytest.mark.parametrize(
+    "extra_alpha, message",
+    [
+        (None, "Lambda1 does not preserve the basic harmonic forms at degree 3"),
+        (2, "Lambda1 does not preserve the basic harmonic forms at degree 3"),
+        (1, "L1 does not preserve the basic harmonic forms at degree 0"),
+    ],
+    ids=["lambda1", "alpha-1-before-L2", "L-before-Lambda"],
+)
+def test_big_operator_failure_order(torus7, torus7_table, monkeypatch, extra_alpha, message):
+    # The first failure is reported: alpha = 1, 2, 3 in turn, then the lowest
+    # source degree, then L before Lambda.  Only Lambda leaves the basic forms
+    # through the patched star (at degree 3, whose Lambda image is a 1-form),
+    # and eta_2 ^ eta_3 added to one Xi_alpha makes that L fail at degree 0.
+    from cosym3 import liealg
+
+    space, t = torus7
+    xi = liealg.xi_form
+
+    def patched_xi(t, alpha):
+        extra = wedge(t.structure(2).eta, t.structure(3).eta)
+        return xi(t, alpha) + extra if alpha == extra_alpha else xi(t, alpha)
+
+    monkeypatch.setattr(liealg, "HodgeOperator", _DtStar)
+    monkeypatch.setattr(liealg, "xi_form", patched_xi)
+    with pytest.raises(liealg.CohomologyError) as err:
+        lie_report(space, t, torus7_table)
+    assert str(err.value) == message
