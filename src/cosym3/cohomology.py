@@ -76,11 +76,11 @@ def operator_matrix(
     return {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
 
 
-def operator_block(images, dst, op: str, k: int, forms: str = "harmonic forms") -> linalg.SparseMatrix:
+def operator_block(images, dst, op: str, k: int) -> linalg.SparseMatrix:
     """``operator_matrix``, raising when ``op`` maps a degree-k form off ``dst``."""
     mat = operator_matrix(images, dst)
     if mat is None:
-        raise CohomologyError(f"{op} does not preserve {forms} at degree {k}")
+        raise CohomologyError(f"{op} does not preserve harmonic forms at degree {k}")
     return mat
 
 
@@ -205,12 +205,6 @@ class GradedOperatorMatrix:
     degree_shift: int
     sparse_blocks: dict[int, linalg.SparseMatrix]
     dims: tuple[int, ...]
-
-    @property
-    def entries(self) -> linalg.SparseMatrix:
-        """All blocks as one sparse matrix keyed ((degree, row), (degree, col))."""
-        s = self.degree_shift
-        return {((k + s, i), (k, j)): x for k, b in self.sparse_blocks.items() for (i, j), x in b.items()}
 
     @property
     def blocks(self) -> dict[int, linalg.Matrix]:

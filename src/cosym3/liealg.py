@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from . import linalg
-from .cohomology import (
-    BASIC,
-    CohomologyError,
-    GradedOperatorMatrix,
-    HarmonicTable,
-    decompose,
-    operator_block,
-)
+from .cohomology import BASIC, CohomologyError, HarmonicTable, decompose
 from .exterior import HodgeOperator, KForm, form_vector, sparse_wedge, wedge
 from .models import ModelSpace
 from .structures import ThreeStructure, fundamental_form
@@ -35,7 +28,6 @@ from .structures import ThreeStructure, fundamental_form
 GENERATORS = ("H", "L1", "L2", "L3", "Lam1", "Lam2", "Lam3", "K1", "K2", "K3")
 
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-_FORMS = "the basic harmonic forms"
 
 
 class DegenerateAlgebraError(ValueError):
@@ -57,57 +49,44 @@ def big_operators(
     space: ModelSpace,
     t: ThreeStructure,
     table: HarmonicTable | None = None,
-) -> dict[str, GradedOperatorMatrix]:
-    """Matrices of H, L_alpha, Lambda_alpha, K_alpha on the basic harmonic spaces.
+) -> dict[str, linalg.SparseMatrix]:
+    """Matrices of H, L_alpha, Lambda_alpha, K_alpha on the basic harmonic forms.
 
-    Raises :class:`CohomologyError` if any operator fails to preserve the
-    (0,0,0) components, and :class:`DegenerateAlgebraError` if
-    the fiber dimension is zero (every operator is then identically zero and
-    the algebra degenerates).
+    All ten are keyed (row, col) over one basis: the (0,0,0) components of
+    every degree, one after another in increasing degree.  Raises
+    :class:`CohomologyError` if L_alpha or Lambda_alpha fails to preserve the
+    basic forms (alpha in turn, then the lowest source degree, L first), and
+    :class:`DegenerateAlgebraError` if the fiber dimension is zero (every
+    operator is then identically zero and the algebra degenerates).
     """
     if table is None:
         table = decompose(space, t)
-    m = table.m
-    n = (m - 3) // 4
+    n = (table.m - 3) // 4
     if n == 0:
         raise DegenerateAlgebraError(
             "fiber dimension 0: H, L, Lambda, K all vanish on basic forms"
         )
-    dims = tuple(len(table.span(k, BASIC)) for k in range(m + 1))
+    vectors = [v for k in range(table.m + 1) for v in table.span(k, BASIC).vectors]
+    basis = linalg.EchelonBasis(vectors)
+    degrees = [min(v).bit_count() for v in vectors]
     star = HodgeOperator(t.g)
-    # *v for every basic v that some Lambda_alpha acts on, shared by the three alpha.
-    starred = {k: [star(v) for v in table.span(k, BASIC).vectors] for k in range(2, m - 1) if dims[k]}
-    ops: dict[str, GradedOperatorMatrix] = {}
+    starred = [star(v) for v in vectors]
+    ops = {"H": {(i, i): 2 * n - k for i, k in enumerate(degrees) if k != 2 * n}}
     for alpha in (1, 2, 3):
         xi2 = form_vector(xi_form(t, alpha))
-        l_blocks: dict[int, linalg.SparseMatrix] = {}
-        lam_blocks: dict[int, linalg.SparseMatrix] = {}
-        for k in range(m + 1):
-            if dims[k] == 0:
-                continue
-            vectors = table.span(k, BASIC).vectors
-            images = [sparse_wedge(xi2, v) for v in vectors]
-            if k + 2 > m:
-                if any(images):
-                    raise CohomologyError(f"L{alpha} image overflows the top degree")
-                continue
-            l_blocks[k] = operator_block(images, table.span(k + 2, BASIC), f"L{alpha}", k, _FORMS)
-            if k >= 2:
-                images = [star(sparse_wedge(xi2, w)) for w in starred[k]]
-                dst = table.span(k - 2, BASIC)
-                lam_blocks[k] = operator_block(images, dst, f"Lambda{alpha}", k, _FORMS)
-        ops[f"L{alpha}"] = GradedOperatorMatrix(f"L{alpha}", 2, l_blocks, dims)
-        ops[f"Lam{alpha}"] = GradedOperatorMatrix(f"Lam{alpha}", -2, lam_blocks, dims)
-    h_blocks = {
-        k: {(i, i): 2 * n - k for i in range(d) if k != 2 * n} for k, d in enumerate(dims) if d
-    }
-    ops["H"] = GradedOperatorMatrix("H", 0, h_blocks, dims)
+        ops[f"L{alpha}"], ops[f"Lam{alpha}"] = l_op, lam_op = {}, {}
+        for j, k in enumerate(degrees):
+            for name, op, image in (
+                (f"L{alpha}", l_op, sparse_wedge(xi2, vectors[j])),
+                (f"Lambda{alpha}", lam_op, star(sparse_wedge(xi2, starred[j]))),
+            ):
+                column = basis.coordinates(image)
+                if column is None:
+                    raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {k}")
+                op.update(((i, j), x) for i, x in column.items())
     for alpha, (beta, gamma) in _COMPLEMENT.items():
-        k_op = linalg.sparse_commutator(ops[f"L{beta}"].entries, ops[f"Lam{gamma}"].entries)
-        blocks: dict[int, linalg.SparseMatrix] = {k: {} for k, d in enumerate(dims) if d}
-        for ((k, i), (_, j)), x in k_op.items():
-            blocks[k][(i, j)] = linalg.exact(x)
-        ops[f"K{alpha}"] = GradedOperatorMatrix(f"K{alpha}", 0, blocks, dims)
+        k_op = linalg.sparse_commutator(ops[f"L{beta}"], ops[f"Lam{gamma}"])
+        ops[f"K{alpha}"] = {rc: linalg.exact(x) for rc, x in k_op.items()}
     return ops
 
 
@@ -138,7 +117,7 @@ class LieAlgebraReport(SpanAnalysis):
 
     generator_names: tuple[str, ...]
     dims: tuple[int, ...]
-    graded: dict[str, GradedOperatorMatrix]
+    operators: dict[str, linalg.SparseMatrix]
     h_commutator_sign: int | None
     h_commutator_uniform: bool
 
@@ -268,8 +247,8 @@ def lie_report(
     """Full exact analysis of the span of {H, L_alpha, Lambda_alpha, K_alpha}."""
     if table is None:
         table = decompose(space, t)
-    graded = big_operators(space, t, table)
-    span = analyze_operator_span([graded[name].entries for name in GENERATORS])
+    ops = big_operators(space, t, table)
+    span = analyze_operator_span([ops[name] for name in GENERATORS])
 
     # [L_alpha, Lambda_alpha] = sign * H with one sign for every alpha.
     h_sign: int | None = None
@@ -286,8 +265,8 @@ def lie_report(
     return LieAlgebraReport(
         **vars(span),
         generator_names=GENERATORS,
-        dims=graded["H"].dims,
-        graded=graded,
+        dims=table.bh,
+        operators=ops,
         h_commutator_sign=h_sign,
         h_commutator_uniform=h_sign is not None,
     )

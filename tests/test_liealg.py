@@ -63,14 +63,15 @@ def test_xi_form_contraction_from_definition(torus7):
 
 
 def test_h_operator_scalars(torus7, torus7_table):
+    # One basis of all basic forms, in increasing degree: dims 1, 4, 6, 4, 1.
     space, t = torus7
     ops = big_operators(space, t, torus7_table)
-    h0 = ops["H"].block(0)
-    assert h0 == [[Fraction(2)]]
-    h2 = ops["H"].block(2)
-    assert h2 == linalg.zeros(6, 6)
-    h4 = ops["H"].block(4)
-    assert h4 == [[Fraction(-2)]]
+    assert torus7_table.bh == (1, 4, 6, 4, 1, 0, 0, 0)
+    degrees = [k for k, d in enumerate(torus7_table.bh) for _ in range(d)]
+    assert ops["H"] == {(i, i): 2 - k for i, k in enumerate(degrees) if k != 2}
+    assert ops["H"][(0, 0)] == 2 and ops["H"][(15, 15)] == -2
+    assert not any((i, i) in ops["H"] for i in range(5, 11))
+    assert all(type(r) is int and type(c) is int for op in ops.values() for r, c in op)
 
 
 def test_l_lambda_commutator_on_constants(torus7):
@@ -264,9 +265,10 @@ def _pipeline_entries(space, t, table):
     harmonic = [harmonic_space(space, t, k) for k in range(t.m + 1)]
     components = [span.vectors for span in table.spans.values()]
     rep = lie_report(space, t, table)
-    ops = list(small_operators(space, t).values()) + list(rep.graded.values())
+    small = small_operators(space, t).values()
     yield from (x for vectors in harmonic + components for v in vectors for x in v.values())
-    yield from (x for op in ops for block in op.sparse_blocks.values() for x in block.values())
+    yield from (x for op in small for block in op.sparse_blocks.values() for x in block.values())
+    yield from (x for op in rep.operators.values() for x in op.values())
     yield from (x for coeffs in rep.bracket_coeffs.values() for x in coeffs.values())
     yield from (x for row in rep.killing for x in row)
 
@@ -278,7 +280,7 @@ def test_no_integral_fraction_in_spans_or_big_operators():
     table = decompose(space, t)
     spans = [x for span in table.spans.values() for v in span.vectors for x in v.values()]
     ops = big_operators(space, t, table).values()
-    blocks = [x for op in ops for block in op.sparse_blocks.values() for x in block.values()]
+    blocks = [x for op in ops for x in op.values()]
     for entries in (spans, blocks):
         assert not [x for x in entries if type(x) is Fraction and x.denominator == 1]
         assert any(type(x) is Fraction for x in entries)
