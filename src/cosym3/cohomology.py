@@ -289,8 +289,10 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     Verifies on the way that the e_alpha are commuting idempotents, that the
     component dimensions reproduce b_k and the basic Betti numbers, and that
     the (0,0,0) component is exactly the basic harmonic subspace.  Any
-    failure raises :class:`CohomologyError`.
+    failure raises :class:`CohomologyError`, and a chart dimension that is
+    not 4n + 3 raises :class:`DimensionError` first.
     """
+    t.require_dimension()
     m = space.chart_dim
     bases = _harmonic_bases(space, t)
     b = tuple(len(basis) for basis in bases)

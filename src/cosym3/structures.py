@@ -123,7 +123,7 @@ class ThreeStructure:
 
     The chart dimension of an almost contact 3-structure is necessarily of
     the form 4n + 3; a mismatch is flagged here and rejected by
-    :func:`check_three_cosymplectic`.  ``constant`` records whether every
+    :meth:`require_dimension`.  ``constant`` records whether every
     tensor has constant coefficients.
     """
 
@@ -149,6 +149,13 @@ class ThreeStructure:
         if alpha not in (1, 2, 3):
             raise ValueError("alpha must be 1, 2, or 3")
         return self.structures[alpha - 1]
+
+    def require_dimension(self) -> None:
+        """Raise :class:`DimensionError` unless the chart dimension is 4n + 3."""
+        if not self.dimension_ok:
+            raise DimensionError(
+                f"chart dimension {self.m} is not of the form 4n+3; no 3-structure exists"
+            )
 
 
 # -- tensor helpers ----------------------------------------------------------
@@ -362,10 +369,7 @@ def check_three_cosymplectic(
     vanishing of the normality tensor; then the quaternionic relations, the
     metric duality g(xi_a, .) = eta_a, and positive definiteness of g.
     """
-    if not t.dimension_ok:
-        raise DimensionError(
-            f"chart dimension {t.m} is not of the form 4n+3; no 3-structure exists"
-        )
+    t.require_dimension()
     items: list[CheckItem] = []
     for alpha in (1, 2, 3):
         s = t.structure(alpha)

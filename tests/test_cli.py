@@ -430,3 +430,30 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert (code, out) == (EXIT_USAGE, "")
     assert stderr == f"cosym3: error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["betti", "liealg"])
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_chart_dimension_not_4n_plus_3_is_a_usage_error(tmp_path, capsys, command, dim):
+    # A flat torus file with eta_alpha = dx_(dim-3+alpha), xi_alpha its dual
+    # vector, phi_alpha = 0 and g = I: no 3-structure exists in this dimension,
+    # and betti and liealg say so as check does.
+    def const(i):
+        return [[{"c": "1", "e": [0] * dim}] if j == i else [] for j in range(dim)]
+
+    data = {
+        "dim": dim,
+        "coordinates": [f"x{i + 1}" for i in range(dim)],
+        "metric": [const(i) for i in range(dim)],
+        "topology": {"type": "torus"},
+        "structures": [
+            {"xi": const(dim - 4 + alpha), "eta": const(dim - 4 + alpha),
+             "phi": [[[] for _ in range(dim)] for _ in range(dim)]}
+            for alpha in (1, 2, 3)
+        ],
+    }
+    path = tmp_path / f"torus{dim}.json"
+    path.write_text(json.dumps(data))
+    err = f"cosym3: error: chart dimension {dim} is not of the form 4n+3; no 3-structure exists\n"
+    for cmd in ("check", command):
+        assert run(capsys, cmd, "--input", str(path)) == (EXIT_USAGE, "", err)
