@@ -429,8 +429,9 @@ def betti_checks(table: HarmonicTable, n: int) -> CheckReport:
         ))
     for k in range(0, (2 * n + 1) // 2 + 1):
         bound = math.comb(k + 2, 2)
-        witness = f"b_{2 * k} = {b[2 * k]} >= {bound} (weaker even-degree bound)"
-        items.append(CheckItem.check(f"wakakuwa_bound[k={k}]", b[2 * k] >= bound, witness, witness))
+        ok = b[2 * k] >= bound
+        witness = f"b_{2 * k} = {b[2 * k]} {'>=' if ok else '<'} {bound} (weaker even-degree bound)"
+        items.append(CheckItem.check(f"wakakuwa_bound[k={k}]", ok, witness, witness))
     for k in range(m + 1):
         duality = f"b_{k} = {b[k]} != b_{m - k} = {b[m - k]}"
         items.append(CheckItem.check(f"poincare_duality[k={k}]", b[k] == b[m - k], duality))

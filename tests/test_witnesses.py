@@ -241,7 +241,7 @@ def test_betti_check_witnesses():
         fail("betti_lower_bound[k=2]", "b_2 = 0 < 6"),
         fail("betti_lower_bound[k=3]", "b_3 = 0 < 10"),
         ok("wakakuwa_bound[k=0]", "b_0 = 1 >= 1 (weaker even-degree bound)"),
-        fail("wakakuwa_bound[k=1]", "b_2 = 0 >= 3 (weaker even-degree bound)"),
+        fail("wakakuwa_bound[k=1]", "b_2 = 0 < 3 (weaker even-degree bound)"),
         fail("poincare_duality[k=0]", "b_0 = 1 != b_7 = 2"),
         fail("poincare_duality[k=1]", "b_1 = 1 != b_6 = 0"),
         ok("poincare_duality[k=2]"),
