@@ -155,19 +155,17 @@ def test_positive_definite_witnesses(torus7):
     assert check_three_cosymplectic(t).item("metric_positive_definite").to_dict() == ok(
         "metric_positive_definite"
     )
-    # g_11 = 1 - x1 is positive at x1 = 0 and 1/2, not at x1 = 2.
-    rows = [list(row) for row in t.g.entries]
-    rows[0][0] = rows[0][0] - Poly.variable(7, 0)
-    g = Metric(rows)
-    poly = ThreeStructure([AlmostContactMetricStructure(s.phi, s.xi, s.eta, g) for s in t.structures])
-    points = [[0] * 7, [Fraction(1, 2)] + [0] * 6]
-    assert check_three_cosymplectic(poly, points).item("metric_positive_definite").to_dict() == ok(
-        "metric_positive_definite", "non-constant metric checked at 2 sample point(s)"
-    )
-    points.append([2, 5, 0, 0, 0, 0, 0])
-    assert check_three_cosymplectic(poly, points).item("metric_positive_definite").to_dict() == fail(
-        "metric_positive_definite", "leading principal minor <= 0 at sample point (2, 5, 0, 0, 0, 0, 0)"
-    )
+    # A non-constant metric is checked at the origin: g_11 = 1 - x1 is
+    # positive there, and g_11 = x1 - 1 is not.
+    for sign, expected in (
+        (1, ok("metric_positive_definite", "non-constant metric checked at 1 sample point(s)")),
+        (-1, fail("metric_positive_definite", "leading principal minor <= 0 at sample point (0, 0, 0, 0, 0, 0, 0)")),
+    ):
+        rows = [list(row) for row in t.g.entries]
+        rows[0][0] = (rows[0][0] - Poly.variable(7, 0)) * sign
+        g = Metric(rows)
+        poly = ThreeStructure([AlmostContactMetricStructure(s.phi, s.xi, s.eta, g) for s in t.structures])
+        assert check_three_cosymplectic(poly).item("metric_positive_definite").to_dict() == expected
 
 
 def test_ladder_witnesses(torus7, torus7_table):
