@@ -69,8 +69,6 @@ def test_h_operator_scalars(torus7, torus7_table):
     assert torus7_table.bh == (1, 4, 6, 4, 1, 0, 0, 0)
     degrees = [k for k, d in enumerate(torus7_table.bh) for _ in range(d)]
     assert ops["H"] == {(i, i): 2 - k for i, k in enumerate(degrees) if k != 2}
-    assert ops["H"][(0, 0)] == 2 and ops["H"][(15, 15)] == -2
-    assert not any((i, i) in ops["H"] for i in range(5, 11))
     assert all(type(r) is int and type(c) is int for op in ops.values() for r, c in op)
 
 
@@ -316,7 +314,7 @@ class _DtStar(HodgeOperator):
         (2, "Lambda1 does not preserve the basic harmonic forms at degree 3"),
         (1, "L1 does not preserve the basic harmonic forms at degree 0"),
     ],
-    ids=["lambda1", "alpha-1-before-L2", "L-before-Lambda"],
+    ids=["lambda1", "alpha-1-before-L2", "lower-degree-first"],
 )
 def test_big_operator_failure_order(torus7, torus7_table, monkeypatch, extra_alpha, message):
     # The first failure is reported: alpha = 1, 2, 3 in turn, then the lowest
