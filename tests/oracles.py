@@ -6,6 +6,12 @@ reference realization gets its structure constants, Killing form, and
 signature from a separate small implementation, dense matrices are reduced
 by a separate Gauss-Jordan elimination (``rref``), and constant forms are
 pulled back and starred by one determinant per pair of index tuples.
+
+The exception is the last section: ``invariant_forms_per_monomial`` and
+``harmonic_by_wedges`` run on the package's sparse kernels (``linalg`` and
+``exterior``) to pin the cohomology layer's invariant and harmonic bases to
+the per-monomial orbit sums and the wedge-then-eliminate assembly, entry for
+entry.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from cosym3 import linalg
+from cosym3.exterior import monomial_images, monomial_key, monomial_keys, sparse_wedge
 
 # Quaternions as coefficient 4-tuples over the basis (1, i, j, k), with the
 # products expanded from i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
@@ -495,3 +504,35 @@ def lie_bracket(x, y):
             total = poly_add(total, poly_mul(yj, poly_diff(xi, j)), -1)
         out.append(total)
     return out
+
+
+# -- per-monomial references for the cohomology layer -------------------------
+
+
+def invariant_forms_per_monomial(a, q, order):
+    """Reduced echelon basis of the a*-invariant constant q-forms, for a
+    constant ``EndField`` a of the given order: one orbit sum of dx_I per
+    degree-q monomial I, then one elimination of all the sums."""
+    images = monomial_images(a.to_fractions(), monomial_keys(a.m, q))
+    columns = []
+    for t in images:
+        orbit = [{t: 1}]
+        for _ in range(order - 1):
+            orbit.append(linalg.sparse_sum(
+                (key, c * x) for s, c in orbit[-1].items() for key, x in images[s].items()
+            ))
+        columns.append(linalg.sparse_sum(term for v in orbit for term in v.items()))
+    return linalg.sparse_rref(columns)
+
+
+def harmonic_by_wedges(fibers, d, k):
+    """Reduced echelon basis of the harmonic k-forms of a mapping torus with
+    fiber dimension d: every dt_S ^ w with w in ``fibers[k - |S|]``, the
+    t-indices d..d+2, wedged and then eliminated."""
+    forms = []
+    for p in range(4):
+        q = k - p
+        if 0 <= q <= d:
+            for t_set in combinations(range(d, d + 3), p):
+                forms.extend(sparse_wedge({monomial_key(t_set): 1}, w) for w in fibers[q])
+    return linalg.sparse_rref(forms)

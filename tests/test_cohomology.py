@@ -6,12 +6,15 @@ import pytest
 from cosym3 import (
     EndField,
     KForm,
+    ModelSpace,
+    Topology,
     betti_checks,
     decompose,
     harmonic_space,
     interior_product,
     invariant_forms,
     is_basic,
+    mapping_torus,
     quaternion_module,
     quaternion_right_mult,
     small_operators,
@@ -20,6 +23,7 @@ from cosym3 import (
 )
 from cosym3.cohomology import EPS_ORDER, NonCompactError
 from cosym3.exterior import form_vector, monomial_keys, vector_form
+from cosym3.models import hyper_kahler_blocks
 from cosym3 import linalg
 from cosym3.poly import Poly
 
@@ -70,6 +74,57 @@ def test_invariant_forms_random_matrices_trace_cross_check():
         q = rng.randint(0, a.m)
         basis = invariant_forms(a, q)
         assert len(basis) == kernel_dim_oracle(a, q)
+
+
+def block_swap11(u: str, v: str):
+    """The dim-11 mapping torus of the block swap [[0, R_u], [R_v, 0]]."""
+    upper = quaternion_right_mult(u).to_fractions()
+    lower = quaternion_right_mult(v).to_fractions()
+    zero = [0] * 4
+    mono = [zero + row for row in upper] + [row + zero for row in lower]
+    return mapping_torus(hyper_kahler_blocks(2), EndField.from_fractions(mono))
+
+
+def assert_matches_per_monomial_route(space, t):
+    a = space.topology.monodromy
+    d, m = a.m, space.chart_dim
+    order = oracles.matrix_power_order(a.to_fractions())
+    fibers = {q: oracles.invariant_forms_per_monomial(a, q, order) for q in range(d + 1)}
+    for q in range(d + 1):
+        assert invariant_forms(a, q) == fibers[q], q
+    for k in range(m + 1):
+        assert harmonic_space(space, t, k) == oracles.harmonic_by_wedges(fibers, d, k), k
+
+
+def test_invariant_and_harmonic_bases_match_per_monomial_route_on_random_monodromies(torus7):
+    # Conjugated by unimodular matrices, so most monomial images have many
+    # terms.  harmonic_space reads only the topology of the space and the
+    # constant flag of the structure, so one constant structure serves
+    # every fiber dimension.
+    _, t = torus7
+    rng = random.Random(2020)
+    for _ in range(40):
+        a = randgen.finite_order_matrix(rng)
+        d = a.m
+        coords = tuple(f"x{i + 1}" for i in range(d)) + ("t1", "t2", "t3")
+        space = ModelSpace(d + 3, coords, Topology("mapping_torus", fiber_dim=d, monodromy=a))
+        assert_matches_per_monomial_route(space, t)
+
+
+@pytest.mark.parametrize("u, v", [("-1", "j"), ("i", "1")], ids=["real-first", "imaginary-first"])
+def test_invariant_and_harmonic_bases_match_per_monomial_route_on_block_swaps(u, v):
+    assert_matches_per_monomial_route(*block_swap11(u, v))
+
+
+def test_invariant_and_harmonic_bases_match_per_monomial_route_on_m7f(m7f_model):
+    assert_matches_per_monomial_route(*m7f_model)
+
+
+def test_invariant_forms_out_of_range_degree(m7f_model):
+    a = m7f_model[0].topology.monodromy
+    with pytest.raises(ValueError):
+        invariant_forms(a, -1)
+    assert invariant_forms(a, a.m + 1) == []
 
 
 def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
