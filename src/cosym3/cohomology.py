@@ -5,9 +5,10 @@ forms are exactly the constant monodromy-invariant forms, so every space here
 is computed by exact rational linear algebra on sparse vectors: a constant
 k-form is a dict from monomial keys (see ``exterior``) to nonzero entries,
 each an ``int`` when integral and a ``Fraction`` otherwise (see ``linalg``).
-Invariant subspaces come from averaging projectors.  Each space is kept as
-its reduced echelon basis over the monomial keys in increasing order, which
-is colex order on the index sets, and each operator
+The invariant forms of every fiber degree come from one pass of averaging
+projectors, one orbit sum per orbit, and the harmonic bases are read off them.
+Each space is kept as its reduced echelon basis over the monomial keys in
+increasing order, which is colex order on the index sets, and each operator
 as one sparse matrix per degree of the coordinates read off its pivots; the
 eightfold split is computed on the e_alpha matrices and mapped back to forms.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import linalg
 from .exterior import (
@@ -28,7 +29,6 @@ from .exterior import (
     form_vector,
     interior_product,
     monomial_images,
-    monomial_key,
     monomial_keys,
     sparse_contract,
     sparse_wedge,
@@ -87,16 +87,15 @@ def operator_block(images, dst, op: str, k: int) -> linalg.SparseMatrix:
 # -- invariant forms under a finite-order monodromy ---------------------------
 
 
-def invariant_forms(
-    a: EndField, q: int, order_bound: int = DEFAULT_ORDER_BOUND
-) -> list[linalg.SparseVector]:
-    """Canonical basis of the fixed subspace of a* on constant q-forms.
+def fiber_invariants(a: EndField, order_bound: int = DEFAULT_ORDER_BOUND) -> list[list[linalg.SparseVector]]:
+    """Canonical bases of the fixed subspaces of a* on constant q-forms, by q.
 
-    Computed as the column space of r P, where P = (1/r) sum_{j<r} (a*)^j
-    is the averaging projector: the column of r P at dx_I is the sum of the
-    orbit of dx_I, so it stays integral for an integral monodromy.  The
-    projector trace must equal the fixed dimension, and the two are
-    cross-checked on every call.
+    Each is the column space of r P, where P = (1/r) sum_{j<r} (a*)^j is the
+    averaging projector: the column of r P at dx_I is the sum of the orbit of
+    dx_I, integral for an integral monodromy.  Each orbit is walked once: if
+    (a*)^j dx_I = c dx_J, then P a* = P makes the column at J c^-1 times the
+    one at I, so J starts no walk.  The projector trace is cross-checked
+    against the fixed dimension at every degree.
     """
     if not a.is_constant():
         raise ValueError("monodromy must be constant")
@@ -104,22 +103,41 @@ def invariant_forms(
     order = linalg.matrix_order(mat, order_bound)
     if order is None:
         raise CohomologyError(f"monodromy not finite order within bound {order_bound}")
-    images = monomial_images(mat, monomial_keys(a.m, q))
-    columns = []
+    images = monomial_images(mat, range(1 << a.m))
+    columns: list[list[linalg.SparseVector]] = [[] for _ in range(a.m + 1)]
+    traces = [0] * (a.m + 1)
+    shared: set[int] = set()
     for t in images:
+        if t in shared:
+            continue
         orbit = [{t: 1}]
         for _ in range(order - 1):
             orbit.append(linalg.sparse_sum(
                 (key, c * x) for s, c in orbit[-1].items() for key, x in images[s].items()
             ))
-        columns.append(linalg.sparse_sum(term for v in orbit for term in v.items()))
-    basis = linalg.sparse_rref(columns)
-    tr = Fraction(sum(col.get(t, 0) for t, col in zip(images, columns)), order)
-    if tr != len(basis):
-        raise CohomologyError(
-            f"projector trace {tr} disagrees with fixed-space dimension {len(basis)}"
-        )
-    return basis
+        col = linalg.sparse_sum(term for v in orbit for term in v.items())
+        columns[t.bit_count()].append(col)
+        # Projector diagonal entries at t and at the monomials its column stands for.
+        singles = {s: c for v in orbit if len(v) == 1 for s, c in v.items() if s not in shared}
+        shared.update(singles)
+        traces[t.bit_count()] += sum(linalg.quotient(col.get(s, 0), c) for s, c in singles.items())
+    out = []
+    for q, cols in enumerate(columns):
+        out.append([{key: linalg.exact(x) for key, x in v.items()} for v in linalg.sparse_rref(cols)])
+        tr = Fraction(traces[q], order)
+        if tr != len(out[q]):
+            raise CohomologyError(
+                f"projector trace {tr} disagrees with fixed-space dimension {len(out[q])} at fiber degree {q}"
+            )
+    return out
+
+
+def invariant_forms(a: EndField, q: int, order_bound: int = DEFAULT_ORDER_BOUND) -> list[linalg.SparseVector]:
+    """Canonical basis of the fixed subspace of a* on constant q-forms, from ``fiber_invariants``."""
+    if q < 0:
+        raise ValueError(f"fiber degree {q} is negative")
+    forms = fiber_invariants(a, order_bound)
+    return forms[q] if q < len(forms) else []
 
 
 # -- harmonic spaces ----------------------------------------------------------
@@ -142,11 +160,12 @@ def harmonic_space(
 ) -> list[linalg.SparseVector]:
     """Canonical basis of the harmonic k-forms of a compact builtin model.
 
-    Torus: all constant k-forms.  Mapping torus: spans dt_S ^ w with w a
-    monodromy-invariant constant form on the fiber, dt-factors free.
-    ``fibers`` maps a fiber degree to its invariant forms and is filled as
-    they are built, so callers that share one dict across degrees build each
-    fiber degree once.
+    Torus: all constant k-forms.  Mapping torus: dt_S ^ w with w a
+    monodromy-invariant constant form on the fiber, dt-factors free.  The
+    first call that finds ``fibers`` empty fills every fiber degree in one
+    pass.  The t-indices lie above every fiber index, so dt_S ^ w is +-w with
+    the bits of S added, with keys in [S << d, (S + 1) << d): in increasing
+    S these forms are already the canonical basis.
     """
     _require_compact_constant(space, t)
     m = space.chart_dim
@@ -158,17 +177,13 @@ def harmonic_space(
     d = topo.fiber_dim
     assert topo.monodromy is not None
     fibers = {} if fibers is None else fibers
-    forms = []
-    for p in range(4):
-        q = k - p
-        if q < 0 or q > d:
-            continue
-        if q not in fibers:
-            bound = topo.order or DEFAULT_ORDER_BOUND
-            fibers[q] = invariant_forms(topo.monodromy, q, order_bound=bound)
-        for t_set in combinations(range(d, d + 3), p):
-            forms.extend(sparse_wedge({monomial_key(t_set): ONE}, w) for w in fibers[q])
-    return linalg.sparse_rref(forms)
+    if not fibers:
+        fibers.update(enumerate(fiber_invariants(topo.monodromy, topo.order or DEFAULT_ORDER_BOUND)))
+    return [
+        {key | s << d: x for key, x in w.items()}
+        for s in range(8) if 0 <= k - s.bit_count() <= d
+        for w in fibers[k - s.bit_count()]
+    ]
 
 
 def _harmonic_bases(space: ModelSpace, t: ThreeStructure) -> list[linalg.EchelonBasis]:

@@ -128,21 +128,47 @@ def test_invariant_forms_out_of_range_degree(m7f_model):
 
 
 def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
+    # One fiber pass per decompose: one order computation and one pullback
+    # memo for all fiber degrees, and the harmonic bases are read off the
+    # invariant forms without wedging or eliminating again.
     from collections import Counter
 
     from cosym3 import cohomology, decompose
 
     calls = Counter()
-    original = cohomology.invariant_forms
 
-    def counting(a, q, *args, **kwargs):
-        calls[q] += 1
-        return original(a, q, *args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(cohomology, "invariant_forms", counting)
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(linalg, "matrix_order")
+    counting(cohomology, "monomial_images")
     table = decompose(*m7f_model)
     assert table.b == (1, 3, 7, 13, 13, 7, 3, 1)
-    assert calls == Counter(range(5))
+    assert calls == Counter(matrix_order=1, monomial_images=1)
+
+    space, t = m7f_model
+    fibers = dict(enumerate(cohomology.fiber_invariants(space.topology.monodromy)))
+    counting(cohomology, "sparse_wedge")
+    counting(linalg, "sparse_rref")
+    bases = [harmonic_space(space, t, k, fibers) for k in range(8)]
+    assert [len(basis) for basis in bases] == list(table.b)
+    assert calls["sparse_wedge"] == calls["sparse_rref"] == 0
+
+
+def test_trace_cross_check_names_the_fiber_degree(m7f_model, monkeypatch):
+    # A wrong order (3 for the order-4 monodromy R_i) breaks P a* = P; the
+    # projector trace first disagrees with the fixed dimension at degree 1.
+    from cosym3 import cohomology
+
+    monkeypatch.setattr(linalg, "matrix_order", lambda mat, bound: 3)
+    with pytest.raises(cohomology.CohomologyError, match=r"^projector trace .* at fiber degree 1$"):
+        decompose(*m7f_model)
 
 
 def test_harmonic_space_dimensions(torus7, m7f_model, standard7):
