@@ -133,7 +133,7 @@ def fiber_invariants(a: EndField, order_bound: int = DEFAULT_ORDER_BOUND) -> lis
 
 
 def invariant_forms(a: EndField, q: int, order_bound: int = DEFAULT_ORDER_BOUND) -> list[linalg.SparseVector]:
-    """Canonical basis of the fixed subspace of a* on constant q-forms, from ``fiber_invariants``."""
+    """Canonical basis of the a*-invariant constant q-forms: degree q of the one-pass ``fiber_invariants``."""
     if q < 0:
         raise ValueError(f"fiber degree {q} is negative")
     forms = fiber_invariants(a, order_bound)

@@ -21,7 +21,7 @@ from cosym3 import (
     verify_ladder,
     wedge,
 )
-from cosym3.cohomology import EPS_ORDER, NonCompactError
+from cosym3.cohomology import EPS_ORDER, CohomologyError, NonCompactError
 from cosym3.exterior import form_vector, monomial_keys, vector_form
 from cosym3.models import hyper_kahler_blocks
 from cosym3 import linalg
@@ -164,10 +164,8 @@ def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
 def test_trace_cross_check_names_the_fiber_degree(m7f_model, monkeypatch):
     # A wrong order (3 for the order-4 monodromy R_i) breaks P a* = P; the
     # projector trace first disagrees with the fixed dimension at degree 1.
-    from cosym3 import cohomology
-
     monkeypatch.setattr(linalg, "matrix_order", lambda mat, bound: 3)
-    with pytest.raises(cohomology.CohomologyError, match=r"^projector trace .* at fiber degree 1$"):
+    with pytest.raises(CohomologyError, match=r"^projector trace .* at fiber degree 1$"):
         decompose(*m7f_model)
 
 
