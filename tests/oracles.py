@@ -207,6 +207,37 @@ def killing_matrix(consts):
     ]
 
 
+def jacobi_holds(consts):
+    """[x_i, [x_j, x_l]] + [x_j, [x_l, x_i]] + [x_l, [x_i, x_j]] = 0 for every
+    triple (i, j, l), each double bracket expanded in the constants."""
+    count = len(consts)
+
+    def double(a, b, c, p):
+        # Coordinate p of [x_a, [x_b, x_c]].
+        return sum(consts[b][c][m] * consts[a][m][p] for m in range(count))
+
+    return not any(
+        double(i, j, l, p) + double(j, l, i, p) + double(l, i, j, p)
+        for i in range(count)
+        for j in range(count)
+        for l in range(count)
+        for p in range(count)
+    )
+
+
+def killing_invariant(consts):
+    """K([x_i, x_j], x_l) + K(x_j, [x_i, x_l]) = 0 for every triple (i, j, l),
+    with K from ``killing_matrix``."""
+    count = len(consts)
+    kill = killing_matrix(consts)
+    return not any(
+        sum(consts[i][j][m] * kill[m][l] + consts[i][l][m] * kill[j][m] for m in range(count))
+        for i in range(count)
+        for j in range(count)
+        for l in range(count)
+    )
+
+
 def symmetric_signature(mat):
     """Inertia by repeated completion of squares; independent implementation."""
     n = len(mat)

@@ -152,6 +152,38 @@ def test_signature_matches_reference_realization(torus7, torus7_table):
     assert conj.killing_rank == 10 and conj.signature == oracle_sig
 
 
+def _dense_consts(coeffs, count):
+    """consts[i][j][k] of an upper-triangle bracket table, made antisymmetric."""
+    consts = [[[0] * count for _ in range(count)] for _ in range(count)]
+    for (i, j), c in coeffs.items():
+        for k, x in c.items():
+            consts[i][j][k], consts[j][i][k] = x, -x
+    return consts
+
+
+def test_certificate_matches_dense_oracles(torus7, torus7_table, m7f_model, m7f_table):
+    # Killing form, Jacobi and invariance against the dense loops of the
+    # oracles, on the two builtins and on the reference so(4,1) realization
+    # before and after a seeded dense conjugation.
+    gens = oracles.so41_generators()
+    p = randgen.unimodular(random.Random(5), 5, shears=20)
+    p_inv = linalg.inverse(p)
+    dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+    spans = [
+        lie_report(space, t, table)
+        for (space, t), table in ((torus7, torus7_table), (m7f_model, m7f_table))
+    ] + [
+        analyze_operator_span([oracles.sparse_matrix({0: g}) for g in mats])
+        for mats in (gens, dense)
+    ]
+    for span in spans:
+        consts = _dense_consts(span.bracket_coeffs, 10)
+        assert span.killing == oracles.killing_matrix(consts)
+        assert span.jacobi_ok is oracles.jacobi_holds(consts) is True
+        assert span.killing_invariance_ok is oracles.killing_invariant(consts) is True
+    assert _dense_consts(spans[2].bracket_coeffs, 10) == oracles.structure_constants(gens)
+
+
 def test_adjointness_of_l_and_lambda(torus7, torus7_table, m7f_model, m7f_table):
     # <L_a x, y> = <x, Lam_a y> for basic harmonic x, y (Hodge pairing).
     for (space, t), table in ((torus7, torus7_table), (m7f_model, m7f_table)):
