@@ -329,11 +329,11 @@ def build_liealg_report(space: ModelSpace, t: ThreeStructure, inputs: dict) -> d
     rep = lie_report(space, t)
     bracket_table = []
     if rep.bracket_coeffs is not None:
-        for left in GENERATORS:
-            row = []
-            for right in GENERATORS:
-                row.append(render_bracket_entry(GENERATORS, rep.bracket(left, right)))
-            bracket_table.append(row)
+        bracket_table = [["0"] * len(GENERATORS) for _ in GENERATORS]
+        for (i, j), c in rep.bracket_coeffs.items():
+            coeffs = [c.get(k, 0) for k in range(len(GENERATORS))]
+            bracket_table[i][j] = render_bracket_entry(GENERATORS, coeffs)
+            bracket_table[j][i] = render_bracket_entry(GENERATORS, [-x for x in coeffs])
     killing = (
         [[str(x) for x in row] for row in rep.killing] if rep.killing else None
     )

@@ -6,6 +6,9 @@ Lambda_alpha = * L_alpha *, and the cross commutators K_alpha.  Their span
 closes under the bracket, and the Killing form computed from the exact
 structure constants has rank 10 and signature (4, 6), which certifies the
 isomorphism class so(4,1) among real simple Lie algebras of dimension 10.
+The certificate is read off the sparse matrices ad x_i of the structure
+constants: K[i][j] = tr(ad x_i ad x_j), Jacobi as [ad x_i, ad x_j] =
+ad [x_i, x_j] for i < j, and invariance as the antisymmetry of every K ad x_i.
 
 Convention note: the 2-form driving L_alpha is the horizontal part of the
 fundamental 2-form, Xi_alpha = Phi_alpha + eta_beta ^ eta_gamma in the
@@ -17,7 +20,7 @@ change and is recorded verbatim in the report, never silently adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import linalg
 from .cohomology import BASIC, CohomologyError, HarmonicTable, decompose
@@ -154,7 +157,8 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     Returns independence, the dimension of the bracket-closed span, and when
     the given operators are independent and closed, the structure constants,
     Killing form, its rank and signature, and the Jacobi and invariance
-    verdicts.  Shared by the operator algebra and by reference realizations.
+    verdicts, the last three from the sparse matrices ad x_i as in the module
+    docstring.  Shared by the operator algebra and by reference realizations.
     """
     count = len(ops)
     basis = linalg.EchelonBasis(linalg.sparse_rref(ops))
@@ -178,44 +182,7 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     for key, c in coords.items():
         terms = linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
         coeffs[key] = {k: linalg.exact(x) for k, x in terms.items()}
-    table = dict(coeffs)
-    table.update({(j, i): {k: -x for k, x in c.items()} for (i, j), c in coeffs.items()})
-
-    def const(i: int, j: int) -> dict[int, linalg.Entry]:
-        """Coordinates of [x_i, x_j]."""
-        return table.get((i, j), {})
-
-    def bracket_terms(i: int, vec: dict[int, linalg.Entry]):
-        """Terms of [x_i, sum_m vec[m] x_m]."""
-        return ((p, x * y) for m, x in vec.items() for p, y in const(i, m).items())
-
-    # ad(x_i) has entry const(i, j)[k] at (k, j), so
-    # tr(ad x_i ad x_j) = sum over k, l of const(i, k)[l] * const(j, l)[k].
-    killing = [
-        [
-            sum(x * const(j, l).get(k, 0) for k in range(count) for l, x in const(i, k).items())
-            for j in range(count)
-        ]
-        for i in range(count)
-    ]
-    jacobi_ok = not any(
-        linalg.sparse_sum(
-            chain(
-                bracket_terms(i, const(j, l)),
-                bracket_terms(j, const(l, i)),
-                bracket_terms(l, const(i, j)),
-            )
-        )
-        for i, j, l in combinations(range(count), 3)
-    )
-    # K([x_i, x_j], x_l) + K(x_j, [x_i, x_l]) = 0 for all i, j, l.
-    invariance_ok = not any(
-        sum(x * killing[m][l] for m, x in const(i, j).items())
-        + sum(x * killing[j][m] for m, x in const(i, l).items())
-        for i in range(count)
-        for j in range(count)
-        for l in range(count)
-    )
+    killing, jacobi_ok, invariance_ok = _certify(coeffs, count)
     pos, neg, zero = linalg.signature(killing)
     return SpanAnalysis(
         independent=True,
@@ -228,6 +195,38 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
         jacobi_ok=jacobi_ok,
         killing_invariance_ok=invariance_ok,
     )
+
+
+def _certify(coeffs: dict, count: int) -> tuple[linalg.Matrix, bool, bool]:
+    """Killing form, Jacobi and invariance verdicts of a bracket table.
+
+    ``coeffs[(i, j)]`` for i < j holds the coordinates of [x_i, x_j]; a
+    missing pair brackets to 0.  Column l of [ad x_i, ad x_j] - ad [x_i, x_j]
+    is the Jacobi sum J(i, j, l), which vanishes for l = i or j, and the
+    Killing form K is invariant exactly when every K ad x_i is antisymmetric.
+    """
+    ad: list[linalg.SparseMatrix] = [{} for _ in range(count)]
+    for (i, j), c in coeffs.items():
+        for k, x in c.items():
+            ad[i][k, j], ad[j][k, i] = x, -x
+    # K[i][j] = tr(ad x_i ad x_j) = K[j][i], summed over nonzero products.
+    killing = linalg.zeros(count, count)
+    for i, j in combinations_with_replacement(range(count), 2):
+        terms = (x * ad[j][l, k] for (k, l), x in ad[i].items() if (l, k) in ad[j])
+        killing[i][j] = killing[j][i] = sum(terms)
+    jacobi_ok = all(
+        linalg.sparse_commutator(ad[i], ad[j])
+        == linalg.sparse_sum(
+            (rc, x * y) for k, x in coeffs.get((i, j), {}).items() for rc, y in ad[k].items()
+        )
+        for i, j in combinations(range(count), 2)
+    )
+    form = {(i, j): x for i, row in enumerate(killing) for j, x in enumerate(row) if x}
+    invariance_ok = all(
+        prod == {(c, r): -x for (r, c), x in prod.items()}
+        for prod in (linalg.sparse_product(form, a) for a in ad)
+    )
+    return killing, jacobi_ok, invariance_ok
 
 
 def _closure_dim(basis: linalg.EchelonBasis, outside: list[linalg.SparseMatrix]) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from cosym3 import (
 from cosym3.liealg import (
     GENERATORS,
     DegenerateAlgebraError,
+    _certify,
     analyze_operator_span,
     big_operators,
     render_bracket_entry,
@@ -182,6 +184,48 @@ def test_certificate_matches_dense_oracles(torus7, torus7_table, m7f_model, m7f_
         assert span.jacobi_ok is oracles.jacobi_holds(consts) is True
         assert span.killing_invariance_ok is oracles.killing_invariant(consts) is True
     assert _dense_consts(spans[2].bracket_coeffs, 10) == oracles.structure_constants(gens)
+
+
+@pytest.mark.parametrize(
+    "coeffs, count, verdicts",
+    [
+        # J(0, 1, 2) = [x2, [x0, x1]] = -x1, and K([x2, x0], x1) + K(x0, [x2, x1])
+        # = K(x1, x1) = 1.
+        ({(0, 1): {0: -1}, (0, 2): {1: -1}}, 3, (False, False)),
+        # J(0, 1, 2) = [x0, [x1, x2]] = x1; K = -(E02 + E20) is invariant.
+        ({(0, 3): {1: 1}, (1, 2): {3: 1}}, 4, (False, True)),
+    ],
+    ids=["both-fail", "jacobi-fails-invariance-holds"],
+)
+def test_certificate_failing_verdicts(coeffs, count, verdicts):
+    killing, jacobi_ok, invariance_ok = _certify(coeffs, count)
+    consts = _dense_consts(coeffs, count)
+    assert killing == oracles.killing_matrix(consts)
+    assert (jacobi_ok, invariance_ok) == verdicts
+    assert verdicts == (oracles.jacobi_holds(consts), oracles.killing_invariant(consts))
+
+
+def test_certificate_matches_oracles_on_random_tables():
+    # Antisymmetric tables of dimension 2 to 5 with a seeded density; most
+    # break Jacobi, and a few of those still have an invariant Killing form.
+    rng = random.Random(21)
+    values = (-2, -1, 1, 2, Fraction(1, 2))
+    seen = set()
+    for _ in range(300):
+        count = rng.randint(2, 5)
+        density = rng.random()
+        coeffs = {}
+        for i, j in itertools.combinations(range(count), 2):
+            c = {k: rng.choice(values) for k in range(count) if rng.random() < density}
+            if c:
+                coeffs[i, j] = c
+        killing, jacobi_ok, invariance_ok = _certify(coeffs, count)
+        consts = _dense_consts(coeffs, count)
+        assert killing == oracles.killing_matrix(consts)
+        assert jacobi_ok is oracles.jacobi_holds(consts)
+        assert invariance_ok is oracles.killing_invariant(consts)
+        seen.add((jacobi_ok, invariance_ok))
+    assert seen == {(True, True), (False, False), (False, True)}
 
 
 def test_adjointness_of_l_and_lambda(torus7, torus7_table, m7f_model, m7f_table):
