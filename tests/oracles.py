@@ -3,7 +3,9 @@
 Nothing here calls the package's own higher-level machinery: quaternion
 arithmetic is expanded from the defining relations, the so(4,1)
 reference realization gets its structure constants, Killing form, and
-signature from a separate small implementation, dense matrices are reduced
+signature from a separate small implementation, the Jacobi identity and
+Killing invariance are dense loops over every triple of a constant table
+(``jacobi_holds``, ``killing_invariant``), dense matrices are reduced
 by a separate Gauss-Jordan elimination (``rref``), and constant forms are
 pulled back and starred by one determinant per pair of index tuples.
 
