@@ -220,16 +220,12 @@ def parse_structure_file(
             raise StructureFileError(
                 f"monodromy not finite order within bound {order_bound}"
             )
-        if abs(linalg.det([[Fraction(x) for x in row] for row in mono])) != 1:
-            raise StructureFileError("monodromy must be unimodular (det = +-1)")
-        topo = Topology(
-            "mapping_torus",
-            fiber_dim=fiber_dim,
-            monodromy=EndField.from_fractions(mono),
-            order=order,
-        )
+        # A^r = I gives det(A)^r = 1, so an integer A is unimodular here.
+        topo = Topology(kind, fiber_dim, EndField.from_fractions(mono), order)
     elif kind in ("euclidean", "torus"):
-        topo = Topology(kind)
+        # Charts below dimension 3 have no fiber; require_dimension rejects them.
+        fiber_dim = max(dim - 3, 0)
+        topo = Topology(kind, fiber_dim, EndField.identity(fiber_dim), 1)
     else:
         raise StructureFileError(f"unknown topology type {kind!r}")
     try:

@@ -29,7 +29,6 @@ from .exterior import (
     form_vector,
     interior_product,
     monomial_images,
-    monomial_keys,
     sparse_contract,
     sparse_wedge,
     vector_form,
@@ -158,24 +157,23 @@ def harmonic_space(
     k: int,
     fibers: dict[int, list[linalg.SparseVector]] | None = None,
 ) -> list[linalg.SparseVector]:
-    """Canonical basis of the harmonic k-forms of a compact builtin model.
+    """Canonical basis of the harmonic k-forms of a compact flat model.
 
-    Torus: all constant k-forms.  Mapping torus: dt_S ^ w with w a
-    monodromy-invariant constant form on the fiber, dt-factors free.  The
-    first call that finds ``fibers`` empty fills every fiber degree in one
-    pass.  The t-indices lie above every fiber index, so dt_S ^ w is +-w with
-    the bits of S added, with keys in [S << d, (S + 1) << d): in increasing
-    S these forms are already the canonical basis.
+    These are dt_S ^ w with w a constant fiber form fixed by the holonomy,
+    the group generated by the monodromy f, and dt-factors free.  On a torus
+    f = I, every orbit is one monomial, and the basis is every constant
+    k-form.  The first call that finds ``fibers`` empty fills every fiber
+    degree in one pass.  The t-indices lie above every fiber index, so
+    dt_S ^ w is +-w with the bits of S added, with keys in
+    [S << d, (S + 1) << d): in increasing S these forms are already the
+    canonical basis.
     """
     _require_compact_constant(space, t)
     m = space.chart_dim
     if not 0 <= k <= m:
         raise ValueError(f"degree {k} out of range 0..{m}")
     topo = space.topology
-    if topo.kind == "torus":
-        return [{key: ONE} for key in monomial_keys(m, k)]
     d = topo.fiber_dim
-    assert topo.monodromy is not None
     fibers = {} if fibers is None else fibers
     if not fibers:
         fibers.update(enumerate(fiber_invariants(topo.monodromy, topo.order or DEFAULT_ORDER_BOUND)))

@@ -672,14 +672,12 @@ class MetricError(ValueError):
 class HodgeOperator:
     """Hodge star for a constant positive-definite metric.
 
-    Defined by ``alpha ^ *(beta) = <alpha, beta> vol``.  The chart orientation
-    is increasing coordinate order unless an explicit coordinate permutation
-    is supplied; an odd permutation flips the sign of the volume form.
-    Requires det(g) to be the square of a rational so that the volume
-    normalization stays exact.
+    Defined by ``alpha ^ *(beta) = <alpha, beta> vol``, with the chart
+    oriented by increasing coordinate order.  Requires det(g) to be the
+    square of a rational so that the volume normalization stays exact.
     """
 
-    def __init__(self, g: Metric, orientation: Sequence[int] | None = None):
+    def __init__(self, g: Metric):
         self.m = g.m
         if not g.is_positive_definite():
             raise MetricError("metric is degenerate or not positive definite")
@@ -692,19 +690,9 @@ class HodgeOperator:
         self.inverse = linalg.inverse(mat)
         self._raise = _Pullback(self.inverse)
         self.sqrt_det = sqrt_det
-        if orientation is None:
-            self.orientation_sign = 1
-        else:
-            perm = tuple(orientation)
-            if sorted(perm) != list(range(self.m)):
-                raise ValueError("orientation must be a permutation of the coordinates")
-            _, sign = sort_with_sign(perm)
-            self.orientation_sign = sign
 
     def volume(self) -> KForm:
-        return KForm.monomial(
-            self.m, tuple(range(self.m)), self.sqrt_det * self.orientation_sign
-        )
+        return KForm.monomial(self.m, tuple(range(self.m)), self.sqrt_det)
 
     def __call__(self, omega: KForm | linalg.SparseVector) -> KForm | linalg.SparseVector:
         """Raise omega once by G^-1, then send each dx_J to its signed complement.
@@ -720,7 +708,7 @@ class HodgeOperator:
                 raise ValueError("dimension mismatch")
             if not omega.is_constant():
                 raise ValueError("Hodge star requires constant coefficients")
-        scale = linalg.exact(self.sqrt_det * self.orientation_sign)
+        scale = linalg.exact(self.sqrt_det)
         full = (1 << self.m) - 1
         starred = {}
         for key, c in self._raise(form_vector(omega) if is_form else omega).items():
@@ -730,8 +718,8 @@ class HodgeOperator:
         return vector_form(self.m, self.m - omega.degree, starred) if is_form else starred
 
 
-def hodge_star(g: Metric, omega: KForm, orientation: Sequence[int] | None = None) -> KForm:
-    return HodgeOperator(g, orientation)(omega)
+def hodge_star(g: Metric, omega: KForm) -> KForm:
+    return HodgeOperator(g)(omega)
 
 
 def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
@@ -745,5 +733,5 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
     return sum(x * b[key] for key, x in raised.items() if key in b)
 
 
-def volume_form(g: Metric, orientation: Sequence[int] | None = None) -> KForm:
-    return HodgeOperator(g, orientation).volume()
+def volume_form(g: Metric) -> KForm:
+    return HodgeOperator(g).volume()

@@ -44,13 +44,15 @@ class OrderBoundError(ModelError):
 class Topology:
     """Chart topology tag: euclidean, torus, or mapping_torus.
 
-    For mapping tori, ``monodromy`` is the integer fiber isometry, ``order``
-    its (verified) finite order, and ``fiber_dim`` the dimension it acts on.
+    ``monodromy`` is the integer fiber isometry f, ``order`` its verified
+    finite order (None if unverified), and ``fiber_dim`` the dimension it
+    acts on.  Euclidean space and the torus carry f = I of order 1, so the
+    holonomy of every compact model is the group generated by ``monodromy``.
     """
 
     kind: str
-    fiber_dim: int | None = None
-    monodromy: EndField | None = None
+    fiber_dim: int
+    monodromy: EndField
     order: int | None = None
 
     def __post_init__(self):
@@ -157,21 +159,10 @@ class HyperKahlerData:
         return self.metric.m
 
 
-def hyper_kahler_torus() -> tuple[ModelSpace, HyperKahlerData]:
-    """The quaternionic flat torus T^4 = H / Z^4 with the standard structures."""
-    j_ops = tuple(quaternion_left_mult(u) for u in ("i", "j", "k"))
-    data = HyperKahlerData(j_ops, Metric.identity(4))
-    space = ModelSpace(4, ("x1", "x2", "x3", "x4"), Topology("torus"))
-    return space, data
-
-
 def hyper_kahler_blocks(n: int) -> HyperKahlerData:
     """n-fold block sum of the quaternionic plane (n = 0 gives an empty fiber)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        empty = EndField.identity(0)
-        return HyperKahlerData((empty, empty, empty), Metric([]))
     base = [quaternion_left_mult(u) for u in ("i", "j", "k")]
     j_ops = tuple(EndField.block_diag(*([base[a]] * n)) for a in range(3))
     return HyperKahlerData(j_ops, Metric.identity(4 * n))
@@ -267,11 +258,7 @@ def mapping_torus(
         xi = VectorField.coordinate(m, d + alpha - 1)
         eta = KForm.coordinate(m, d + alpha - 1)
         structures.append(AlmostContactMetricStructure(phi, xi, eta, metric))
-    if topology_kind == "mapping_torus":
-        topo = Topology("mapping_torus", fiber_dim=d, monodromy=f, order=iso.order)
-    else:
-        topo = Topology(topology_kind)
-    space = ModelSpace(m, coords, topo)
+    space = ModelSpace(m, coords, Topology(topology_kind, d, f, iso.order))
     return space, ThreeStructure(structures)
 
 
@@ -293,8 +280,7 @@ def m7f(order_bound: int = DEFAULT_ORDER_BOUND) -> tuple[ModelSpace, ThreeStruct
     A compact 7-manifold carrying the product 3-structure that is not a
     global product of a hyper-Kahler 4-manifold with a torus.
     """
-    _, data = hyper_kahler_torus()
-    return mapping_torus(data, quaternion_right_mult("i"), order_bound=order_bound)
+    return mapping_torus(hyper_kahler_blocks(1), quaternion_right_mult("i"), order_bound=order_bound)
 
 
 def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
@@ -305,7 +291,7 @@ def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
     This is what lets the product structure descend to the quotient.
     """
     topo = space.topology
-    if topo.kind != "mapping_torus" or topo.monodromy is None:
+    if topo.kind != "mapping_torus":
         raise ModelError("monodromy invariance applies to mapping_torus models only")
     deck = EndField.block_diag(topo.monodromy, EndField.identity(3))
     items = [CheckItem.check("monodromy_fixes_metric", deck.transpose() * t.g * deck == t.g, "F^T g F != g")]

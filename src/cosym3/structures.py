@@ -347,8 +347,9 @@ def check_quaternionic(t: ThreeStructure) -> CheckReport:
 
 
 def _positive_definite_item(g: Metric) -> CheckItem:
-    """By Sylvester's criterion g is positive definite exactly when every
-    leading principal minor is > 0, which the witnesses name.  A non-constant
+    """g is positive definite exactly when its inertia from
+    ``linalg.signature`` is (m, 0, 0).  The witnesses keep the wording of
+    Sylvester's leading-minor criterion, which is equivalent.  A non-constant
     metric is checked at the origin."""
     name = "metric_positive_definite"
     if g.is_constant():

@@ -354,18 +354,15 @@ def perm_sign(seq):
     return -1 if inversions % 2 else 1
 
 
-def gram_star(g, form, orientation=None):
+def gram_star(g, form):
     """*form from alpha ^ *beta = <alpha, beta> vol, one Gram determinant per pair.
 
-    *dx_I = sqrt(det g) sum_J <dx_J, dx_I> sign(J, J^c) dx_{J^c}, with the
-    volume form's sign flipped for an odd orientation permutation.
+    *dx_I = sqrt(det g) sum_J <dx_J, dx_I> sign(J, J^c) dx_{J^c}.
     """
     m = len(g)
     d = det(g)
     root = Fraction(math.isqrt(d.numerator), math.isqrt(d.denominator))
     assert root * root == d, "det(g) is not a rational square"
-    if orientation is not None:
-        root *= perm_sign(orientation)
     inv = _inverse(g)
     out = {}
     for key, c in form.items():

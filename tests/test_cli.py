@@ -386,6 +386,18 @@ def test_structure_file_rejects_floats_and_booleans(tmp_path, capsys, name, path
     assert stderr.startswith(f"cosym3: error: {err}")
 
 
+def test_non_unimodular_monodromy_is_not_of_finite_order(tmp_path, capsys):
+    # An integer A with A^r = I has det(A) = +-1, so the order search is what
+    # rejects a non-unimodular monodromy such as 2 I.
+    data = structure_file_dict(*builtin("m7f"))
+    data["topology"]["monodromy"] = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    assert run(capsys, "check", "--input", str(model)) == (
+        EXIT_USAGE, "", "cosym3: error: monodromy not finite order within bound 60\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["torus7", "m7f"], ids=["torus", "mapping_torus"])
 def test_compact_topology_rejects_a_polynomial_metric_entry(tmp_path, capsys, name):
     # One diagonal metric entry becomes 1 + x2, so the metric stays symmetric.
@@ -433,11 +445,12 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["betti", "liealg"])
-@pytest.mark.parametrize("dim", [4, 6, 8])
+@pytest.mark.parametrize("dim", [1, 2, 4, 6, 8])
 def test_chart_dimension_not_4n_plus_3_is_a_usage_error(tmp_path, capsys, command, dim):
     # A flat torus file with eta_alpha = dx_(dim-3+alpha), xi_alpha its dual
     # vector, phi_alpha = 0 and g = I: no 3-structure exists in this dimension,
-    # and betti and liealg say so as check does.
+    # and betti and liealg say so as check does.  Below dimension 3 the torus
+    # has no fiber for its identity monodromy to act on.
     def const(i):
         return [[{"c": "1", "e": [0] * dim}] if j == i else [] for j in range(dim)]
 

@@ -127,10 +127,11 @@ def test_invariant_forms_out_of_range_degree(m7f_model):
     assert invariant_forms(a, a.m + 1) == []
 
 
-def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
+def test_decompose_builds_each_fiber_degree_once(m7f_model, torus7, monkeypatch):
     # One fiber pass per decompose: one order computation and one pullback
     # memo for all fiber degrees, and the harmonic bases are read off the
-    # invariant forms without wedging or eliminating again.
+    # invariant forms without wedging or eliminating again.  The torus takes
+    # the same pass with f = I.
     from collections import Counter
 
     from cosym3 import cohomology, decompose
@@ -150,6 +151,9 @@ def test_decompose_builds_each_fiber_degree_once(m7f_model, monkeypatch):
     counting(cohomology, "monomial_images")
     table = decompose(*m7f_model)
     assert table.b == (1, 3, 7, 13, 13, 7, 3, 1)
+    assert calls == Counter(matrix_order=1, monomial_images=1)
+    calls.clear()
+    assert decompose(*torus7).b == (1, 7, 21, 35, 35, 21, 7, 1)
     assert calls == Counter(matrix_order=1, monomial_images=1)
 
     space, t = m7f_model

@@ -201,13 +201,6 @@ def test_remaining_dimension_mismatch_errors():
         )  # non-constant form
 
 
-def test_hodge_orientation_flip():
-    g = Metric.identity(3)
-    plus = hodge_star(g, dx(3, 0))
-    swapped = hodge_star(g, dx(3, 0), orientation=(1, 0, 2))
-    assert swapped == -plus
-
-
 def test_inner_product_symmetric_and_star_isometry():
     rng = __import__("random").Random(23)
     m = 4
@@ -273,17 +266,15 @@ def _square_det_metric(rng, m):
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_constant_forms_match_determinant_oracles(m):
     # pullback, monomial_images, the star on forms and on
-    # sparse vectors in both orientations, and the inner product against one
+    # sparse vectors, and the inner product against one
     # minor or Gram determinant per pair of index tuples.
     rng = random.Random(900 + m)
     mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
     a = EndField.from_fractions(mat)
     g_mat = _square_det_metric(rng, m)
     g = Metric.from_fractions(g_mat)
-    odd = list(range(m))
-    rng.shuffle(odd)
-    if oracles.perm_sign(odd) > 0:
-        odd[0], odd[1] = odd[1], odd[0]
+    # The seeded alpha and beta below are drawn after this coordinate shuffle.
+    rng.shuffle(list(range(m)))
     for k in range(m + 1):
         tuples = list(combinations(range(m), k))
         images = {t: oracles.minor_pullback(mat, {t: Fraction(1)}) for t in tuples}
@@ -297,11 +288,7 @@ def test_constant_forms_match_determinant_oracles(m):
         form = KForm(m, k, alpha)
         assert pullback(a, form) == KForm(m, k, oracles.minor_pullback(mat, alpha))
         assert hodge_star(g, form) == KForm(m, m - k, oracles.gram_star(g_mat, alpha))
-        assert hodge_star(g, form, orientation=odd) == KForm(
-            m, m - k, oracles.gram_star(g_mat, alpha, odd)
-        )
         assert HodgeOperator(g)(keyed(alpha)) == keyed(oracles.gram_star(g_mat, alpha))
-        assert HodgeOperator(g, odd)(keyed(alpha)) == keyed(oracles.gram_star(g_mat, alpha, odd))
         assert form_inner_product(g, form, KForm(m, k, beta)) == oracles.gram_inner(
             g_mat, alpha, beta
         )

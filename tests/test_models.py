@@ -8,7 +8,7 @@ from cosym3 import (
     check_three_cosymplectic,
     euclidean_space,
     flat_torus,
-    hyper_kahler_torus,
+    hyper_kahler_blocks,
     mapping_torus,
     monodromy_invariance,
     quaternion_left_mult,
@@ -24,7 +24,7 @@ UNITS = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
 
 
 def test_left_multiplication_table():
-    space, data = hyper_kahler_torus()
+    data = hyper_kahler_blocks(1)
     j1, j2, j3 = data.j_ops
     # J1 maps the basis quaternion 1 to i.
     e0 = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
@@ -68,7 +68,7 @@ def test_right_mult_commutes_with_left():
 
 
 def test_isometry_check():
-    space, data = hyper_kahler_torus()
+    data = hyper_kahler_blocks(1)
     rep = check_hyper_kahler_isometry(quaternion_right_mult("i"), data)
     assert rep.passed and rep.order == 4
     # Left multiplication fails the commutation checks.
@@ -85,7 +85,7 @@ def test_isometry_check():
 
 def test_mapping_torus_with_identity_matches_flat_torus():
     space_t, t_torus = flat_torus(1)
-    _, data = hyper_kahler_torus()
+    data = hyper_kahler_blocks(1)
     space_m, t_map = mapping_torus(data, EndField.identity(4))
     for alpha in (1, 2, 3):
         assert t_map.structure(alpha).phi == t_torus.structure(alpha).phi
@@ -94,6 +94,9 @@ def test_mapping_torus_with_identity_matches_flat_torus():
     assert t_map.g == t_torus.g
     assert space_t.topology.kind == "torus"
     assert space_m.topology.kind == "mapping_torus"
+    # The torus is the mapping torus with f = I: it carries its holonomy too.
+    for topo in (space_t.topology, space_m.topology):
+        assert (topo.fiber_dim, topo.monodromy, topo.order) == (4, EndField.identity(4), 1)
 
 
 def test_m7f_construction(m7f_model):
@@ -107,7 +110,7 @@ def test_m7f_construction(m7f_model):
 
 
 def test_mapping_torus_rejects_non_isometry():
-    _, data = hyper_kahler_torus()
+    data = hyper_kahler_blocks(1)
     with pytest.raises(ModelError):
         mapping_torus(data, data.j_ops[0])
 
