@@ -265,9 +265,9 @@ def _square_det_metric(rng, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_constant_forms_match_determinant_oracles(m):
-    # pullback, monomial_images, the star on forms and on
-    # sparse vectors, and the inner product against one
-    # minor or Gram determinant per pair of index tuples.
+    # pullback, monomial_images, the star on forms and on sparse vectors,
+    # and the inner product against one minor or Gram determinant per pair
+    # of index tuples.
     rng = random.Random(900 + m)
     mat = [[randgen.fraction(rng, False) for _ in range(m)] for _ in range(m)]
     a = EndField.from_fractions(mat)
