@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import linalg
 from .cohomology import (
     CohomologyError,
     EPS_ORDER,
@@ -89,6 +89,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``p`` or ``p/q`` in ASCII digits; unlike ``Fraction``, no decimals or
+    exponents, so ``"1e100000000"`` is refused before it is expanded."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a rational p/q: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def poly_from_json(data, nvars: int) -> Poly:
     if not isinstance(data, list):
         raise StructureFileError("polynomial must be a list of terms")
@@ -102,7 +114,7 @@ def poly_from_json(data, nvars: int) -> Poly:
         if not isinstance(entry["c"], str):
             raise StructureFileError(f"coefficient {entry['c']!r} must be a string 'p/q'")
         try:
-            coeff = Fraction(entry["c"])
+            coeff = parse_rational(entry["c"])
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureFileError(f"bad coefficient {entry['c']!r}") from exc
         if expo in terms:
@@ -213,21 +225,13 @@ def parse_structure_file(
             )
         ):
             raise StructureFileError("monodromy must be an integer fiber_dim matrix")
-        order = linalg.matrix_order(
-            [[Fraction(x) for x in row] for row in mono], order_bound
-        )
-        if order is None:
-            raise StructureFileError(
-                f"monodromy not finite order within bound {order_bound}"
-            )
-        # A^r = I gives det(A)^r = 1, so an integer A is unimodular here.
-        topo = Topology(kind, fiber_dim, EndField.from_fractions(mono), order)
+        monodromy = EndField.from_fractions(mono)
     elif kind in ("euclidean", "torus"):
         # Charts below dimension 3 have no fiber; require_dimension rejects them.
-        fiber_dim = max(dim - 3, 0)
-        topo = Topology(kind, fiber_dim, EndField.identity(fiber_dim), 1)
+        monodromy = EndField.identity(max(dim - 3, 0))
     else:
         raise StructureFileError(f"unknown topology type {kind!r}")
+    topo = Topology.of(kind, monodromy, order_bound)
     try:
         space = ModelSpace(dim, tuple(coords), topo)
         t = ThreeStructure(structures)
@@ -287,8 +291,7 @@ def build_check_report(space: ModelSpace, t: ThreeStructure, inputs: dict) -> di
 
 def build_betti_report(space: ModelSpace, t: ThreeStructure, inputs: dict) -> dict:
     table = decompose(space, t)
-    n = (space.chart_dim - 3) // 4
-    checks = betti_checks(table, n)
+    checks = betti_checks(table)
     ladder = verify_ladder(space, t, table)
     decomposition = []
     for k in range(table.m + 1):
@@ -454,7 +457,7 @@ def render_pretty(report: dict) -> str:
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        value = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
     if value <= 0:
@@ -500,7 +503,7 @@ def _load_model(args, order_bound: int):
                 data = json.load(fh)
         except OSError as exc:
             raise StructureFileError(f"cannot read {args.input}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also undecodable text and oversized integers
             raise StructureFileError(f"invalid JSON in {args.input}: {exc}") from exc
         except RecursionError as exc:
             raise StructureFileError(f"invalid JSON in {args.input}: nesting too deep") from exc

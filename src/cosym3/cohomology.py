@@ -33,14 +33,13 @@ from .exterior import (
     sparse_wedge,
     vector_form,
 )
-from .models import DEFAULT_ORDER_BOUND, ModelSpace
+from .models import ModelSpace
 from .structures import CheckItem, CheckReport, EVEN_PERMS, ThreeStructure
 
 #: Fixed report order for the eight eigenvalue patterns (eps1, eps2, eps3):
 #: 000, then 100 010 001, then 110 101 011, then 111.
 EPS_ORDER = tuple(sorted(product((1, 0), repeat=3), key=sum))
 BASIC = (0, 0, 0)
-ONE = 1
 
 
 class NonCompactError(ValueError):
@@ -86,23 +85,18 @@ def operator_block(images, dst, op: str, k: int) -> linalg.SparseMatrix:
 # -- invariant forms under a finite-order monodromy ---------------------------
 
 
-def fiber_invariants(a: EndField, order_bound: int = DEFAULT_ORDER_BOUND) -> list[list[linalg.SparseVector]]:
+def fiber_invariants(a: EndField, order: int) -> list[list[linalg.SparseVector]]:
     """Canonical bases of the fixed subspaces of a* on constant q-forms, by q.
 
     Each is the column space of r P, where P = (1/r) sum_{j<r} (a*)^j is the
     averaging projector: the column of r P at dx_I is the sum of the orbit of
     dx_I, integral for an integral monodromy.  Each orbit is walked once: if
     (a*)^j dx_I = c dx_J, then P a* = P makes the column at J c^-1 times the
-    one at I, so J starts no walk.  The projector trace is cross-checked
-    against the fixed dimension at every degree.
+    one at I, so J starts no walk.  ``order`` is r, as ``Topology.of`` found
+    it; the projector trace is cross-checked against the fixed dimension at
+    every degree.
     """
-    if not a.is_constant():
-        raise ValueError("monodromy must be constant")
-    mat = a.to_fractions()
-    order = linalg.matrix_order(mat, order_bound)
-    if order is None:
-        raise CohomologyError(f"monodromy not finite order within bound {order_bound}")
-    images = monomial_images(mat, range(1 << a.m))
+    images = monomial_images(a.to_fractions(), range(1 << a.m))
     columns: list[list[linalg.SparseVector]] = [[] for _ in range(a.m + 1)]
     traces = [0] * (a.m + 1)
     shared: set[int] = set()
@@ -131,11 +125,11 @@ def fiber_invariants(a: EndField, order_bound: int = DEFAULT_ORDER_BOUND) -> lis
     return out
 
 
-def invariant_forms(a: EndField, q: int, order_bound: int = DEFAULT_ORDER_BOUND) -> list[linalg.SparseVector]:
+def invariant_forms(a: EndField, q: int, order: int) -> list[linalg.SparseVector]:
     """Canonical basis of the a*-invariant constant q-forms: degree q of the one-pass ``fiber_invariants``."""
     if q < 0:
         raise ValueError(f"fiber degree {q} is negative")
-    forms = fiber_invariants(a, order_bound)
+    forms = fiber_invariants(a, order)
     return forms[q] if q < len(forms) else []
 
 
@@ -176,7 +170,7 @@ def harmonic_space(
     d = topo.fiber_dim
     fibers = {} if fibers is None else fibers
     if not fibers:
-        fibers.update(enumerate(fiber_invariants(topo.monodromy, topo.order or DEFAULT_ORDER_BOUND)))
+        fibers.update(enumerate(fiber_invariants(topo.monodromy, topo.order)))
     return [
         {key | s << d: x for key, x in w.items()}
         for s in range(8) if 0 <= k - s.bit_count() <= d
@@ -323,7 +317,7 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
         # The component eps is the image of the projector prod_alpha
         # (eps_alpha e_alpha + (1 - eps_alpha)(1 - e_alpha)), built one factor
         # at a time in coordinates over the harmonic basis.
-        parts = {(): {(i, i): ONE for i in range(b[k])}}
+        parts = {(): {(i, i): 1 for i in range(b[k])}}
         for alpha in range(3):
             split = {}
             for eps, part in parts.items():
@@ -411,7 +405,7 @@ def verify_ladder(
 # -- Betti arithmetic ----------------------------------------------------------
 
 
-def betti_checks(table: HarmonicTable, n: int) -> CheckReport:
+def betti_checks(table: HarmonicTable) -> CheckReport:
     """All arithmetic consequences of the decomposition for a 4n+3 model.
 
     Every line here is a theorem for a verified 3-cosymplectic compact model,
@@ -419,8 +413,9 @@ def betti_checks(table: HarmonicTable, n: int) -> CheckReport:
     """
     m = table.m
     b, bh = table.b, table.bh
-    if m != 4 * n + 3:
-        raise ValueError(f"table dimension {m} does not match n = {n}")
+    if m % 4 != 3:
+        raise ValueError(f"table dimension {m} is not 4n + 3")
+    n = (m - 3) // 4
 
     def bh_at(j: int) -> int:
         return bh[j] if 0 <= j <= m else 0
@@ -484,7 +479,7 @@ def quaternion_module(
         if preserved:
             mats[alpha] = mat
     if len(mats) == 3:
-        minus_id = {(i, i): -ONE for i in range(dim)}
+        minus_id = {(i, i): -1 for i in range(dim)}
         for alpha in (1, 2, 3):
             squared = linalg.sparse_product(mats[alpha], mats[alpha])
             items.append(CheckItem.check(f"hmodule_I{alpha}_squared_minus_id", squared == minus_id, "I^2 != -id"))

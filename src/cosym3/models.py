@@ -44,20 +44,36 @@ class OrderBoundError(ModelError):
 class Topology:
     """Chart topology tag: euclidean, torus, or mapping_torus.
 
-    ``monodromy`` is the integer fiber isometry f, ``order`` its verified
-    finite order (None if unverified), and ``fiber_dim`` the dimension it
-    acts on.  Euclidean space and the torus carry f = I of order 1, so the
-    holonomy of every compact model is the group generated by ``monodromy``.
+    ``monodromy`` is the integer fiber isometry f and ``order`` its finite
+    order, as verified by :meth:`of`.  Euclidean space and the torus carry
+    f = I of order 1, so the holonomy of every compact model is the group
+    generated by ``monodromy``.
     """
 
     kind: str
-    fiber_dim: int
     monodromy: EndField
-    order: int | None = None
+    order: int
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "torus", "mapping_torus"):
             raise ModelError(f"unknown topology kind {self.kind!r}")
+
+    @classmethod
+    def of(cls, kind: str, monodromy: EndField, order_bound: int = DEFAULT_ORDER_BOUND) -> Topology:
+        """The topology with monodromy f, whose order is searched up to ``order_bound``.
+
+        This is the one place the order of f is decided; past the bound it
+        raises :class:`OrderBoundError`.  A^r = I gives det(A)^r = 1, so an
+        integer A that passes is unimodular.
+        """
+        order = linalg.matrix_order(monodromy.to_fractions(), order_bound)
+        if order is None:
+            raise OrderBoundError(f"monodromy not finite order within bound {order_bound}")
+        return cls(kind, monodromy, order)
+
+    @property
+    def fiber_dim(self) -> int:
+        return self.monodromy.m
 
     @property
     def compact(self) -> bool:
@@ -171,24 +187,11 @@ def hyper_kahler_blocks(n: int) -> HyperKahlerData:
 # -- isometry verification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    report: CheckReport
-    order: int | None
+def check_hyper_kahler_isometry(f: EndField, data: HyperKahlerData) -> CheckReport:
+    """Verify that f is a lattice-preserving hyper-Kahler isometry.
 
-    @property
-    def passed(self) -> bool:
-        return self.report.passed and self.order is not None
-
-
-def check_hyper_kahler_isometry(
-    f: EndField, data: HyperKahlerData, order_bound: int = DEFAULT_ORDER_BOUND
-) -> IsometryReport:
-    """Verify that f is a lattice-preserving hyper-Kahler isometry of finite order.
-
-    Checks: integer entries with det = +-1, f^T G f = G, commutation with all
-    three complex structures, and finite order within ``order_bound``
-    (exceeding the bound raises :class:`OrderBoundError`).
+    Checks: integer entries with det = +-1, f^T G f = G, and commutation
+    with all three complex structures; :meth:`Topology.of` finds the order.
     """
     d = data.fiber_dim
     if f.m != d:
@@ -206,13 +209,7 @@ def check_hyper_kahler_isometry(
     ]
     for idx, j in enumerate(data.j_ops, start=1):
         items.append(CheckItem.check(f"monodromy_commutes_J{idx}", f * j == j * f, f"f J{idx} != J{idx} f"))
-    order = linalg.matrix_order(mat, order_bound)
-    report = CheckReport(tuple(items))
-    if order is None and report.passed:
-        raise OrderBoundError(
-            f"monodromy not finite order within bound {order_bound}"
-        )
-    return IsometryReport(report, order)
+    return CheckReport(tuple(items))
 
 
 # -- the product construction ------------------------------------------------
@@ -244,10 +241,11 @@ def mapping_torus(
     metric.  The structure is invariant under the deck map f (+) I_3, so it
     descends to the quotient.
     """
-    iso = check_hyper_kahler_isometry(f, data, order_bound)
-    if not iso.passed:
-        failed = ", ".join(item.name for item in iso.report.failures())
+    report = check_hyper_kahler_isometry(f, data)
+    if not report.passed:
+        failed = ", ".join(item.name for item in report.failures())
         raise ModelError(f"monodromy is not a hyper-Kahler isometry: {failed}")
+    topology = Topology.of(topology_kind, f, order_bound)
     d = data.fiber_dim
     m = d + 3
     coords = tuple(f"x{i + 1}" for i in range(d)) + ("t1", "t2", "t3")
@@ -258,7 +256,7 @@ def mapping_torus(
         xi = VectorField.coordinate(m, d + alpha - 1)
         eta = KForm.coordinate(m, d + alpha - 1)
         structures.append(AlmostContactMetricStructure(phi, xi, eta, metric))
-    space = ModelSpace(m, coords, Topology(topology_kind, d, f, iso.order))
+    space = ModelSpace(m, coords, topology)
     return space, ThreeStructure(structures)
 
 

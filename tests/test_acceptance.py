@@ -123,7 +123,7 @@ def test_criterion_4_arithmetic(torus7_table, m7f_table):
         for k in range(1, m + 1, 2):
             assert table.bh[k] % 4 == 0
             assert (table.b[k - 1] + table.b[k]) % 4 == 0
-        report = betti_checks(table, 1)
+        report = betti_checks(table)
         assert report.passed, [i.name for i in report.failures()]
     for k, bound in ((0, 1), (1, 3), (2, 6), (3, 10)):
         assert m7f_table.b[k] >= bound
@@ -270,7 +270,8 @@ def _suite_projector_trace(rng):
     for _ in range(CASES):
         a = randgen.finite_order_matrix(rng)
         q = rng.randint(0, a.m)
-        basis = invariant_forms(a, q)  # trace cross-check runs inside
+        order = oracles.matrix_power_order(a.to_fractions())
+        basis = invariant_forms(a, q, order)  # trace cross-check runs inside
         mat = oracles.pullback_matrix(a.to_fractions(), q)
         n = len(mat)
         diff = [

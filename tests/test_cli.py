@@ -277,6 +277,42 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_exponent_notation_deformation_parameter_is_a_usage_error(capsys):
+    # Fraction("1e1000000") would expand a million digits; --a takes p/q only.
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "--builtin", "torus7", "--a", "1e1000000"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --a: not a rational: '1e1000000'" in capsys.readouterr().err
+
+
+def test_each_command_decides_the_monodromy_order_once(tmp_path, capsys, monkeypatch):
+    # Topology.of searches for the order; every later layer reads it.
+    from cosym3 import linalg
+
+    model = tmp_path / "m7f.json"
+    model.write_text(json.dumps(structure_file_dict(*builtin("m7f"))))
+    original = linalg.matrix_order
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "matrix_order", counting)
+    for source in (["--builtin", "m7f"], ["--input", str(model)]):
+        for command in (["check"], ["betti"], ["liealg"], ["deform", "--a", "2"]):
+            calls.clear()
+            code, _, err = run(capsys, command[0], *source, *command[1:])
+            assert code == EXIT_OK, err
+            assert len(calls) == 1, (command, source)
+    # Past the bound the one search is the one error, for a builtin as for a file.
+    monkeypatch.setenv("COSYM3_ORDER_BOUND", "3")
+    for source in (["--builtin", "m7f"], ["--input", str(model)]):
+        assert run(capsys, "check", *source) == (
+            EXIT_USAGE, "", "cosym3: error: monodromy not finite order within bound 3\n"
+        )
+
+
 def test_order_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("COSYM3_ORDER_BOUND", "2")
     code, _, err = run(capsys, "check", "--builtin", "m7f")
@@ -366,10 +402,19 @@ def test_liealg_incompatible_metric(tmp_path, capsys, diagonal, code, err):
         ("standard7", ("metric", 0, 0, 0, "e"), 5, "bad exponent vector 5\n"),
         ("standard7", ("metric", 0, 0, 0, "e"), None, "bad exponent vector None\n"),
         ("standard7", ("coordinates", 0), ["x", "y"], "coordinates must be dim distinct names\n"),
+        # Rationals are "p/q" strings: Fraction's decimals and exponents are
+        # refused, "1e50000" before its digits overflow the report writer.
+        ("m7f", ("metric", 0, 0, 0, "c"), "1e50000", "bad coefficient '1e50000'\n"),
+        ("m7f", ("metric", 0, 0, 0, "c"), "1e100000000", "bad coefficient '1e100000000'\n"),
+        ("standard7", ("metric", 0, 0, 0, "c"), "0.5", "bad coefficient '0.5'\n"),
+        ("standard7", ("metric", 0, 0, 0, "c"), "\u0661", "bad coefficient '\u0661'\n"),
+        ("standard7", ("metric", 0, 0, 0, "c"), " 1", "bad coefficient ' 1'\n"),
     ],
     ids=["float-coefficient", "bool-coefficient", "bool-exponent", "bool-dim",
          "bool-fiber-dim", "bool-monodromy-entry", "int-exponent-vector",
-         "null-exponent-vector", "list-coordinate"],
+         "null-exponent-vector", "list-coordinate", "exponent-coefficient",
+         "huge-exponent-coefficient", "decimal-coefficient", "non-ascii-digit",
+         "padded-coefficient"],
 )
 def test_structure_file_rejects_floats_and_booleans(tmp_path, capsys, name, path, value, err):
     # Each edit is accepted at face value unless floats and booleans are told
@@ -417,17 +462,24 @@ def test_compact_topology_rejects_a_polynomial_metric_entry(tmp_path, capsys, na
     [
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[" * 200_000, "nesting too deep"),
+        # Past the int-string digit limit, whose wording varies by version.
+        (b'{"dim": ' + b"1" * 5000 + b"}", None),
     ],
-    ids=["not-utf8", "deep-nesting"],
+    ids=["not-utf8", "deep-nesting", "oversized-integer"],
 )
 def test_structure_file_rejects_undecodable_text(tmp_path, capsys, content, err):
-    # Undecodable bytes and nesting past the recursion limit are malformed
-    # input too, not a traceback with the verdict-failed code.
+    # Undecodable bytes, nesting past the recursion limit and integers past
+    # the digit limit are malformed input too, not a traceback with the
+    # verdict-failed code.
     model = tmp_path / "model.json"
     model.write_bytes(content)
     code, out, stderr = run(capsys, "check", "--input", str(model))
     assert (code, out) == (EXIT_USAGE, "")
-    assert stderr == f"cosym3: error: invalid JSON in {model}: {err}\n"
+    prefix = f"cosym3: error: invalid JSON in {model}: "
+    if err is None:
+        assert stderr.startswith(prefix) and stderr.count("\n") == 1
+    else:
+        assert stderr == f"{prefix}{err}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -21,7 +22,7 @@ from cosym3 import (
     verify_ladder,
     wedge,
 )
-from cosym3.cohomology import EPS_ORDER, CohomologyError, NonCompactError
+from cosym3.cohomology import EPS_ORDER, CohomologyError, HarmonicTable, NonCompactError
 from cosym3.exterior import form_vector, monomial_keys, vector_form
 from cosym3.models import hyper_kahler_blocks
 from cosym3 import linalg
@@ -43,18 +44,18 @@ def kernel_dim_oracle(a: EndField, q: int) -> int:
 def test_invariant_forms_identity():
     ident = EndField.identity(4)
     for q in range(5):
-        basis = invariant_forms(ident, q)
+        basis = invariant_forms(ident, q, 1)
         assert len(basis) == math.comb(4, q)
 
 
 def test_invariant_forms_right_mult_i():
     r_i = quaternion_right_mult("i")
-    dims = [len(invariant_forms(r_i, q)) for q in range(5)]
+    dims = [len(invariant_forms(r_i, q, 4)) for q in range(5)]
     assert dims == [1, 0, 4, 0, 1]
     for q in range(5):
         assert dims[q] == kernel_dim_oracle(r_i, q)
     # The invariant 2-forms span {dx12, dx34, dx13 - dx24, dx14 + dx23}.
-    basis = invariant_forms(r_i, 2)
+    basis = invariant_forms(r_i, 2, 4)
     keys = monomial_keys(4, 2)
     got = [[f.get(key, 0) for key in keys] for f in basis]
     expected_forms = [
@@ -72,7 +73,7 @@ def test_invariant_forms_random_matrices_trace_cross_check():
     for _ in range(40):
         a = randgen.finite_order_matrix(rng)
         q = rng.randint(0, a.m)
-        basis = invariant_forms(a, q)
+        basis = invariant_forms(a, q, oracles.matrix_power_order(a.to_fractions()))
         assert len(basis) == kernel_dim_oracle(a, q)
 
 
@@ -91,7 +92,7 @@ def assert_matches_per_monomial_route(space, t):
     order = oracles.matrix_power_order(a.to_fractions())
     fibers = {q: oracles.invariant_forms_per_monomial(a, q, order) for q in range(d + 1)}
     for q in range(d + 1):
-        assert invariant_forms(a, q) == fibers[q], q
+        assert invariant_forms(a, q, order) == fibers[q], q
     for k in range(m + 1):
         assert harmonic_space(space, t, k) == oracles.harmonic_by_wedges(fibers, d, k), k
 
@@ -107,7 +108,7 @@ def test_invariant_and_harmonic_bases_match_per_monomial_route_on_random_monodro
         a = randgen.finite_order_matrix(rng)
         d = a.m
         coords = tuple(f"x{i + 1}" for i in range(d)) + ("t1", "t2", "t3")
-        space = ModelSpace(d + 3, coords, Topology("mapping_torus", fiber_dim=d, monodromy=a))
+        space = ModelSpace(d + 3, coords, Topology.of("mapping_torus", a))
         assert_matches_per_monomial_route(space, t)
 
 
@@ -121,17 +122,17 @@ def test_invariant_and_harmonic_bases_match_per_monomial_route_on_m7f(m7f_model)
 
 
 def test_invariant_forms_out_of_range_degree(m7f_model):
-    a = m7f_model[0].topology.monodromy
+    topo = m7f_model[0].topology
     with pytest.raises(ValueError):
-        invariant_forms(a, -1)
-    assert invariant_forms(a, a.m + 1) == []
+        invariant_forms(topo.monodromy, -1, topo.order)
+    assert invariant_forms(topo.monodromy, topo.fiber_dim + 1, topo.order) == []
 
 
 def test_decompose_builds_each_fiber_degree_once(m7f_model, torus7, monkeypatch):
-    # One fiber pass per decompose: one order computation and one pullback
-    # memo for all fiber degrees, and the harmonic bases are read off the
-    # invariant forms without wedging or eliminating again.  The torus takes
-    # the same pass with f = I.
+    # One fiber pass per decompose: one pullback memo for all fiber degrees,
+    # with the order the topology already holds, and the harmonic bases are
+    # read off the invariant forms without wedging or eliminating again.  The
+    # torus takes the same pass with f = I.
     from collections import Counter
 
     from cosym3 import cohomology, decompose
@@ -151,13 +152,13 @@ def test_decompose_builds_each_fiber_degree_once(m7f_model, torus7, monkeypatch)
     counting(cohomology, "monomial_images")
     table = decompose(*m7f_model)
     assert table.b == (1, 3, 7, 13, 13, 7, 3, 1)
-    assert calls == Counter(matrix_order=1, monomial_images=1)
+    assert calls == Counter(monomial_images=1)
     calls.clear()
     assert decompose(*torus7).b == (1, 7, 21, 35, 35, 21, 7, 1)
-    assert calls == Counter(matrix_order=1, monomial_images=1)
+    assert calls == Counter(monomial_images=1)
 
     space, t = m7f_model
-    fibers = dict(enumerate(cohomology.fiber_invariants(space.topology.monodromy)))
+    fibers = dict(enumerate(cohomology.fiber_invariants(space.topology.monodromy, space.topology.order)))
     counting(cohomology, "sparse_wedge")
     counting(linalg, "sparse_rref")
     bases = [harmonic_space(space, t, k, fibers) for k in range(8)]
@@ -165,12 +166,13 @@ def test_decompose_builds_each_fiber_degree_once(m7f_model, torus7, monkeypatch)
     assert calls["sparse_wedge"] == calls["sparse_rref"] == 0
 
 
-def test_trace_cross_check_names_the_fiber_degree(m7f_model, monkeypatch):
+def test_trace_cross_check_names_the_fiber_degree(m7f_model):
     # A wrong order (3 for the order-4 monodromy R_i) breaks P a* = P; the
     # projector trace first disagrees with the fixed dimension at degree 1.
-    monkeypatch.setattr(linalg, "matrix_order", lambda mat, bound: 3)
-    with pytest.raises(CohomologyError, match=r"^projector trace .* at fiber degree 1$"):
-        decompose(*m7f_model)
+    space, t = m7f_model
+    wrong = dataclasses.replace(space, topology=dataclasses.replace(space.topology, order=3))
+    with pytest.raises(CohomologyError, match=r"^projector trace 2/3 disagrees .* at fiber degree 1$"):
+        decompose(wrong, t)
 
 
 def test_harmonic_space_dimensions(torus7, m7f_model, standard7):
@@ -329,17 +331,18 @@ def test_l_squared_zero(torus7):
 
 def test_betti_checks(torus7_table, m7f_table):
     for table in (torus7_table, m7f_table):
-        report = betti_checks(table, 1)
+        report = betti_checks(table)
         assert report.passed, [i.name for i in report.failures()]
     # Spot values: the formula at k = 2 and the bounds on m7f.
-    report = betti_checks(m7f_table, 1)
+    report = betti_checks(m7f_table)
     assert report.item("betti_formula[k=2]").passed
     for k, (bk, bound) in enumerate(((1, 1), (3, 3), (7, 6), (13, 10))):
         item = report.item(f"betti_lower_bound[k={k}]")
         assert item.passed
         assert f"b_{k} = {bk}" in item.witness
-    with pytest.raises(ValueError):
-        betti_checks(m7f_table, 2)
+    # n = (m - 3) / 4 is read off the table, which must have m = 4n + 3.
+    with pytest.raises(ValueError, match="^table dimension 8 is not 4n [+] 3$"):
+        betti_checks(HarmonicTable(8, {}, (0,) * 9, (0,) * 9))
 
 
 def test_quaternion_module(torus7, torus7_table, m7f_model, m7f_table):

@@ -15,7 +15,7 @@ def _results(space, t):
     """Every basis-free result of betti and liealg on one structure."""
     table = decompose(space, t)
     rep = lie_report(space, t, table)
-    betti_passed = betti_checks(table, 1).passed and verify_ladder(space, t, table).passed
+    betti_passed = betti_checks(table).passed and verify_ladder(space, t, table).passed
     return {
         "b": table.b,
         "bh": table.bh,

@@ -14,7 +14,7 @@ from cosym3 import (
     quaternion_left_mult,
     quaternion_right_mult,
 )
-from cosym3.models import ModelError, OrderBoundError, builtin, builtin_names
+from cosym3.models import ModelError, OrderBoundError, Topology, builtin, builtin_names
 from cosym3 import linalg
 
 import oracles
@@ -69,18 +69,33 @@ def test_right_mult_commutes_with_left():
 
 def test_isometry_check():
     data = hyper_kahler_blocks(1)
-    rep = check_hyper_kahler_isometry(quaternion_right_mult("i"), data)
-    assert rep.passed and rep.order == 4
+    r_i = quaternion_right_mult("i")
+    assert check_hyper_kahler_isometry(r_i, data).passed
+    assert mapping_torus(data, r_i)[0].topology.order == 4
     # Left multiplication fails the commutation checks.
     rep = check_hyper_kahler_isometry(data.j_ops[0], data)
     assert not rep.passed
-    assert not rep.report.item("monodromy_commutes_J2").passed
+    assert not rep.item("monodromy_commutes_J2").passed
     # Scaling fails the isometry item.
     rep = check_hyper_kahler_isometry(EndField.identity(4).scaled(2), data)
-    assert not rep.report.item("monodromy_isometry").passed
-    assert not rep.report.item("monodromy_unimodular").passed
+    assert not rep.item("monodromy_isometry").passed
+    assert not rep.item("monodromy_unimodular").passed
     with pytest.raises(OrderBoundError):
-        check_hyper_kahler_isometry(quaternion_right_mult("i"), data, order_bound=3)
+        mapping_torus(data, r_i, order_bound=3)
+
+
+def test_topology_of_decides_the_order():
+    r_i = quaternion_right_mult("i")
+    topo = Topology.of("mapping_torus", r_i)
+    assert (topo.fiber_dim, topo.order) == (4, 4)
+    assert Topology.of("torus", EndField.identity(0)).order == 1
+    with pytest.raises(OrderBoundError, match="^monodromy not finite order within bound 3$"):
+        Topology.of("mapping_torus", r_i, order_bound=3)
+    # 2 I has infinite order; a failed isometry check is reported first.
+    with pytest.raises(OrderBoundError, match="within bound 60$"):
+        Topology.of("mapping_torus", EndField.identity(4).scaled(2))
+    with pytest.raises(ModelError, match="^monodromy is not a hyper-Kahler isometry: "):
+        mapping_torus(hyper_kahler_blocks(1), EndField.identity(4).scaled(2))
 
 
 def test_mapping_torus_with_identity_matches_flat_torus():
