@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from .cohomology import (
     CohomologyError,
@@ -32,6 +30,7 @@ from .liealg import (
     lie_report,
     render_bracket_entry,
 )
+from .linalg import Entry, parse_rational
 from .models import (
     DEFAULT_ORDER_BOUND,
     ModelError,
@@ -87,18 +86,6 @@ def poly_to_json(p: Poly) -> list[dict]:
 def _is_int(x) -> bool:
     """A JSON integer; ``true`` and ``false`` load as bool, a subclass of int."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_rational(text: str) -> Fraction:
-    """``p`` or ``p/q`` in ASCII digits; unlike ``Fraction``, no decimals or
-    exponents, so ``"1e100000000"`` is refused before it is expanded."""
-    match = _RATIONAL.fullmatch(text)
-    if not match:
-        raise ValueError(f"not a rational p/q: {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def poly_from_json(data, nvars: int) -> Poly:
@@ -376,7 +363,7 @@ def build_liealg_report(space: ModelSpace, t: ThreeStructure, inputs: dict) -> d
 def build_deform_report(
     space: ModelSpace,
     t: ThreeStructure,
-    a: Fraction,
+    a: Entry,
     inputs: dict,
     output_path: str | None,
 ) -> tuple[dict, dict | None]:
@@ -455,7 +442,7 @@ def render_pretty(report: dict) -> str:
 # -- entry point --------------------------------------------------------------
 
 
-def _positive_fraction(text: str) -> Fraction:
+def _positive_fraction(text: str) -> Entry:
     try:
         value = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:

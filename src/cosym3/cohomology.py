@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import linalg
@@ -116,8 +115,8 @@ def fiber_invariants(a: EndField, order: int) -> list[list[linalg.SparseVector]]
         traces[t.bit_count()] += sum(linalg.quotient(col.get(s, 0), c) for s, c in singles.items())
     out = []
     for q, cols in enumerate(columns):
-        out.append([{key: linalg.exact(x) for key, x in v.items()} for v in linalg.sparse_rref(cols)])
-        tr = Fraction(traces[q], order)
+        out.append(linalg.sparse_rref(cols))
+        tr = linalg.quotient(traces[q], order)
         if tr != len(out[q]):
             raise CohomologyError(
                 f"projector trace {tr} disagrees with fixed-space dimension {len(out[q])} at fiber degree {q}"
@@ -329,9 +328,7 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
         for eps in EPS_ORDER:
             coords = linalg.sparse_rref(linalg.sparse_columns(parts[eps]).values())
             spans[(k, eps)] = linalg.EchelonBasis([
-                {key: linalg.exact(x) for key, x in linalg.sparse_sum(
-                    (key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items()
-                ).items()}
+                linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
                 for v in coords
             ])
     bh = tuple(len(spans[(k, BASIC)]) for k in range(m + 1))

@@ -24,12 +24,11 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from . import linalg
-from .poly import Poly, _accumulate, _collect, _poly, as_fraction, as_poly, dot
+from .poly import Poly, _accumulate, _collect, _poly, as_poly, dot
 
 IndexTuple = tuple[int, ...]
 
@@ -135,7 +134,7 @@ class KForm:
     @classmethod
     def coordinate(cls, m: int, index: int) -> "KForm":
         """The coordinate differential dx^index."""
-        return cls(m, 1, {(index,): Fraction(1)})
+        return cls(m, 1, {(index,): 1})
 
     @classmethod
     def monomial(cls, m: int, indices, value=1) -> "KForm":
@@ -488,8 +487,7 @@ class Metric(EndField):
     def evaluate(self, point: Sequence) -> linalg.Matrix:
         if len(point) != self.m:
             raise ValueError("point dimension mismatch")
-        point = [as_fraction(x) for x in point]
-        out = [[Fraction(0)] * self.m for _ in range(self.m)]
+        out = [[0] * self.m for _ in range(self.m)]
         for i, row in enumerate(self.rows):
             for j, p in row.items():
                 out[i][j] = p.evaluate(point)
@@ -612,7 +610,7 @@ class _Pullback:
     """
 
     def __init__(self, mat: linalg.Matrix):
-        self.rows = [{1 << j: linalg.exact(x) for j, x in enumerate(row) if x} for row in mat]
+        self.rows = [{1 << j: x for j, x in enumerate(row) if x} for row in mat]
         self.images: dict[int, linalg.SparseVector] = {0: {0: 1}}
 
     def image(self, key: int) -> linalg.SparseVector:
@@ -657,12 +655,12 @@ def pullback(a: EndField, omega: KForm) -> KForm:
     return vector_form(a.m, omega.degree, _pulled_back(a.to_fractions(), form_vector(omega)))
 
 
-def _sqrt_fraction(value: linalg.Entry) -> Fraction | None:
+def _sqrt_fraction(value: linalg.Entry) -> linalg.Entry | None:
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    return Fraction(rn, rd)
+    return linalg.quotient(rn, rd)
 
 
 class MetricError(ValueError):
@@ -708,13 +706,13 @@ class HodgeOperator:
                 raise ValueError("dimension mismatch")
             if not omega.is_constant():
                 raise ValueError("Hodge star requires constant coefficients")
-        scale = linalg.exact(self.sqrt_det)
+        scale = self.sqrt_det
         full = (1 << self.m) - 1
-        starred = {}
-        for key, c in self._raise(form_vector(omega) if is_form else omega).items():
-            comp = full ^ key
-            odd = (comp & _inversion_mask(key, True)).bit_count() & 1
-            starred[comp] = linalg.exact(-c * scale if odd else c * scale)
+        starred = linalg.sparse_sum(
+            (comp, -c * scale if (comp & _inversion_mask(key, True)).bit_count() & 1 else c * scale)
+            for key, c in self._raise(form_vector(omega) if is_form else omega).items()
+            for comp in (full ^ key,)
+        )
         return vector_form(self.m, self.m - omega.degree, starred) if is_form else starred
 
 

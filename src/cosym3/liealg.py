@@ -88,8 +88,7 @@ def big_operators(
                     raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {k}")
                 op.update(((i, j), x) for i, x in column.items())
     for alpha, (beta, gamma) in _COMPLEMENT.items():
-        k_op = linalg.sparse_commutator(ops[f"L{beta}"], ops[f"Lam{gamma}"])
-        ops[f"K{alpha}"] = {rc: linalg.exact(x) for rc, x in k_op.items()}
+        ops[f"K{alpha}"] = linalg.sparse_commutator(ops[f"L{beta}"], ops[f"Lam{gamma}"])
     return ops
 
 
@@ -178,10 +177,10 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     # coordinates over the operators solve the operators' pivot entries.
     pivots = [min(v) for v in basis.vectors]
     inv = linalg.inverse([[op.get(p, 0) for op in ops] for p in pivots])
-    coeffs = {}
-    for key, c in coords.items():
-        terms = linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
-        coeffs[key] = {k: linalg.exact(x) for k, x in terms.items()}
+    coeffs = {
+        key: linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
+        for key, c in coords.items()
+    }
     killing, jacobi_ok, invariance_ok = _certify(coeffs, count)
     pos, neg, zero = linalg.signature(killing)
     return SpanAnalysis(

@@ -2,11 +2,12 @@
 
 An entry is an exact rational: an ``int`` when it is integral and a
 ``Fraction`` otherwise (sums of ``Fraction``s may leave a ``Fraction`` with
-denominator 1, which compares and hashes equal to its ``int``).  Values are
-made ``int`` where they are created, by ``exact``, and every division of
-entries goes through ``quotient``, so no ``float`` can appear.  Sparse
-vectors are dicts from ordered keys to nonzero entries, and sparse matrices
-are sparse vectors keyed by (row, column) pairs.  One Gauss-Jordan
+denominator 1, which compares and hashes equal to its ``int``).  This module
+keeps that rule: ``parse_rational`` reads every rational string, every
+division goes through ``quotient``, so no ``float`` can appear, and every
+sparse vector it returns holds an ``int`` wherever the value is integral.
+Sparse vectors are dicts from ordered keys to nonzero entries, and sparse
+matrices are sparse vectors keyed by (row, column) pairs.  One Gauss-Jordan
 elimination, ``sparse_rref``, serves everything: the dense ``rref``,
 ``rank``, ``kernel_basis`` and ``inverse`` on lists of lists of entries are
 views of it.  Everything here is deterministic: pivots are chosen by
@@ -16,6 +17,7 @@ reduced-echelon vectors taken in column order.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -37,6 +39,19 @@ def quotient(x: Entry, y: Entry) -> Entry:
         q, r = divmod(x, y)
         return Fraction(x, y) if r else q
     return exact(x / y)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Entry:
+    """``p`` or ``p/q`` in ASCII digits as an entry; unlike ``Fraction``, no
+    spaces, decimals or exponents, so ``"1e100000000"`` is refused before it
+    is expanded."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a rational p/q: {text!r}")
+    return quotient(int(match[1]), int(match[2] or 1))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -80,7 +95,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     ``sparse_rref`` laid out densely, padded with zero rows to ``len(a)``."""
     cols = len(a[0]) if a else 0
     rows = sparse_rref(_sparse_rows(a))
-    red = [[exact(row.get(j, 0)) for j in range(cols)] for row in rows]
+    red = [[row.get(j, 0) for j in range(cols)] for row in rows]
     return red + zeros(len(a) - len(rows), cols), [min(row) for row in rows]
 
 
@@ -127,7 +142,7 @@ def sparse_sum(terms) -> SparseVector:
     for key, x in terms:
         y = out.get(key)
         out[key] = x if y is None else y + x
-    return {key: x for key, x in out.items() if x}
+    return {key: x.numerator if type(x) is Fraction and x.denominator == 1 else x for key, x in out.items() if x}
 
 
 def _product_terms(a: SparseMatrix, b: SparseMatrix, sign: int = 1):
@@ -180,6 +195,7 @@ def sparse_rref(vectors) -> list[SparseVector]:
         row = rows[p]
         for q in [key for key in row if key != p and key in rows]:
             add_scaled(row, -row[q], rows[q])
+        rows[p] = {key: x.numerator if type(x) is Fraction and x.denominator == 1 else x for key, x in row.items()}
     return [rows[p] for p in sorted(rows)]
 
 
@@ -191,7 +207,7 @@ def inverse(a: Matrix) -> Matrix:
     rows = sparse_rref({**row, n + i: 1} for i, row in enumerate(_sparse_rows(a)))
     if [min(row) for row in rows] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[exact(row.get(n + j, 0)) for j in range(n)] for row in rows]
+    return [[row.get(n + j, 0) for j in range(n)] for row in rows]
 
 
 class EchelonBasis:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .exterior import EndField, KForm, Metric, VectorField, pullback
@@ -217,13 +216,9 @@ def check_hyper_kahler_isometry(f: EndField, data: HyperKahlerData) -> CheckRepo
 
 def _reeb_block(alpha: int) -> EndField:
     """3x3 action on the Reeb directions: xi_beta -> eps_{alpha beta gamma} xi_gamma."""
-    mat = [[Fraction(0)] * 3 for _ in range(3)]
-    for beta in (1, 2, 3):
-        for gamma in (1, 2, 3):
-            s = EPSILON.get((alpha, beta, gamma), 0)
-            if s:
-                mat[gamma - 1][beta - 1] = Fraction(s)
-    return EndField.from_fractions(mat)
+    return EndField.from_fractions(
+        [[EPSILON.get((alpha, beta, gamma), 0) for beta in (1, 2, 3)] for gamma in (1, 2, 3)]
+    )
 
 
 def mapping_torus(

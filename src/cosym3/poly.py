@@ -14,25 +14,25 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .linalg import Entry, exact
+from .linalg import Entry, exact, parse_rational
 
 Exponents = tuple[int, ...]
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction."""
-    if isinstance(value, Fraction):
+def as_fraction(value) -> Entry:
+    """An int, Fraction or 'p/q' string as an entry: the int when integral.
+
+    A string takes the structure-file grammar of ``linalg.parse_rational``.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return exact(value)
+    if isinstance(value, int):  # a bool
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def _coefficient(value) -> Entry:
-    """An int, Fraction or 'p/q' string as a coefficient: the int when integral."""
-    return value if type(value) is int else exact(as_fraction(value))
 
 
 def _poly(nvars: int, terms: dict) -> "Poly":
@@ -83,7 +83,7 @@ class Poly:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                c = _coefficient(coeff)
+                c = as_fraction(coeff)
                 if c:
                     acc = clean.get(expo)
                     total = c if acc is None else exact(acc + c)
@@ -138,7 +138,7 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError("polynomials over different variable counts")
             return other
-        c = _coefficient(other)
+        c = as_fraction(other)
         return _poly(self.nvars, {(0,) * self.nvars: c} if c else {})
 
     def _combine(self, other, op) -> "Poly":
@@ -214,19 +214,19 @@ class Poly:
             terms[tuple(new)] = exact(c * e)
         return _poly(self.nvars, terms)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+    def evaluate(self, point: Sequence) -> Entry:
+        """Exact value at a rational point, an int when integral."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         pt = [as_fraction(x) for x in point]
-        total = Fraction(0)
+        total = 0
         for expo, c in self.terms.items():
             val = c
             for x, e in zip(pt, expo):
                 if e:
                     val *= x**e
             total += val
-        return total
+        return exact(total)
 
     # -- rendering ---------------------------------------------------------
 

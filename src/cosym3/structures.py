@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
+from . import linalg
 from .exterior import (
     EndField, KForm, Metric, VectorField, _end_field, _vector_field, exterior_derivative,
     monomial_indices, monomial_key,
@@ -411,7 +412,7 @@ def d_homothetic_deform(t: ThreeStructure, a) -> ThreeStructure:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("deformation parameter must be positive")
-    inv_a = 1 / a
+    inv_a = linalg.quotient(1, a)
     correction = EndField.zero(t.m)
     for s in t.structures:
         eta = s.eta_components()

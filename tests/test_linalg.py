@@ -349,3 +349,26 @@ def test_dense_views_match_oracle_on_mixed_entries(a):
             results.append(linalg.inverse(a))
             assert results[-1] == oracles._inverse(a)
     assert _int_where_integral(results)
+
+
+def test_sparse_results_are_int_where_integral():
+    # Halves often sum, multiply or eliminate to whole values; linalg returns
+    # those as ints, so no caller normalizes what it returns.
+    assert type(linalg.sparse_sum([(0, F(1, 2)), (0, F(1, 2))])[0]) is int
+    rng = random.Random(64)
+    values = [1, -1, 2, F(1, 2), F(-1, 2), F(3, 2)]
+
+    def sparse(n):
+        return {(rng.randrange(3), rng.randrange(3)): rng.choice(values) for _ in range(n)}
+
+    for trial in range(300):
+        a, b = sparse(5), sparse(5)
+        terms = [(rng.randrange(3), rng.choice(values)) for _ in range(6)]
+        rows = [{j: rng.choice(values) for j in rng.sample(range(4), 3)} for _ in range(3)]
+        results = [
+            linalg.sparse_sum(terms),
+            linalg.sparse_product(a, b),
+            linalg.sparse_commutator(a, b),
+            linalg.sparse_rref(rows),
+        ]
+        assert _int_where_integral(results), results

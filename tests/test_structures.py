@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from cosym3 import (
     fundamental_form,
     nijenhuis_tensor,
 )
-from cosym3.poly import Poly
+from cosym3.poly import Poly, as_fraction
 from cosym3.structures import DimensionError, StructureError
 
 import cases
@@ -385,6 +386,25 @@ def test_deform_full_check_and_composition(torus7):
         d_homothetic_deform(t, 0)
     with pytest.raises(ValueError):
         d_homothetic_deform(t, -1)
+
+
+@pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1e100000000"])
+def test_rational_strings_take_the_structure_file_grammar(torus7, text):
+    # One grammar for every rational string: p or p/q in ASCII digits, as in
+    # a structure file or --a.  An exponent is refused before it is expanded.
+    space, t = torus7
+    for read in (as_fraction, lambda s: Poly.const(3, s), lambda s: d_homothetic_deform(t, s)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not a rational p/q"):
+            read(text)
+        assert time.perf_counter() - start < 0.1
+    assert as_fraction("7/3") == Fraction(7, 3)
+    assert as_fraction("-2") == -2 and type(as_fraction("-2")) is int
+    assert Poly.const(3, "7/3") == Poly.const(3, Fraction(7, 3))
+    assert Poly.const(3, "-2").constant_value() == -2
+    assert d_homothetic_deform(t, "7/3").g == d_homothetic_deform(t, Fraction(7, 3)).g
+    with pytest.raises(ValueError, match="must be positive"):
+        d_homothetic_deform(t, "-2")
 
 
 def test_deform_random_parameters(torus7):
