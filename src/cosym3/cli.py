@@ -538,6 +538,14 @@ def main(argv=None) -> int:
     except CohomologyError as exc:
         print(f"cosym3: model inconsistency: {exc}", file=sys.stderr)
         return EXIT_VERDICT_FAIL
+    except ValueError as exc:
+        # str() of an int longer than Python's int-to-str limit, which guards
+        # against quadratic-time conversions; any other ValueError is a bug.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"cosym3: error: a number in the result is too long to print (over {limit} digits)", file=sys.stderr)
+        return EXIT_USAGE
     text = render_pretty(report) if args.pretty else json.dumps(report, indent=2) + "\n"
     if args.output:
         # deform writes the deformed structure file there, the others their report.

@@ -33,12 +33,17 @@ from .exterior import (
     vector_form,
 )
 from .models import ModelSpace
-from .structures import CheckItem, CheckReport, EVEN_PERMS, ThreeStructure
+from .structures import CheckItem, CheckReport, DimensionError, EVEN_PERMS, ThreeStructure
 
 #: Fixed report order for the eight eigenvalue patterns (eps1, eps2, eps3):
 #: 000, then 100 010 001, then 110 101 011, then 111.
 EPS_ORDER = tuple(sorted(product((1, 0), repeat=3), key=sum))
 BASIC = (0, 0, 0)
+
+#: The largest chart dimension ``decompose`` accepts.  Its time and memory
+#: grow as 2^dim: the flat torus of dimension 19 took 25 s and 717 MB in
+#: betti and 97 s and 1.1 GB in liealg, and dimension 23 ran out of memory.
+MAX_CHART_DIM = 19
 
 
 class NonCompactError(ValueError):
@@ -296,10 +301,15 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     component dimensions reproduce b_k and the basic Betti numbers, and that
     the (0,0,0) component is exactly the basic harmonic subspace.  Any
     failure raises :class:`CohomologyError`, and a chart dimension that is
-    not 4n + 3 raises :class:`DimensionError` first.
+    not 4n + 3 or is above ``MAX_CHART_DIM`` raises :class:`DimensionError`
+    first.
     """
     t.require_dimension()
     m = space.chart_dim
+    if m > MAX_CHART_DIM:
+        raise DimensionError(
+            f"chart dimension {m} is above {MAX_CHART_DIM}, the largest whose cohomology is computed"
+        )
     bases = _harmonic_bases(space, t)
     b = tuple(len(basis) for basis in bases)
     # Raises unless l, lambda and e preserve the harmonic forms.

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from cosym3 import (
     flat_torus,
     m7f,
 )
+from cosym3 import cli
 from cosym3.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -522,3 +525,68 @@ def test_chart_dimension_not_4n_plus_3_is_a_usage_error(tmp_path, capsys, comman
     err = f"cosym3: error: chart dimension {dim} is not of the form 4n+3; no 3-structure exists\n"
     for cmd in ("check", command):
         assert run(capsys, cmd, "--input", str(path)) == (EXIT_USAGE, "", err)
+
+
+_TORUS7_TERM = {"c": "1", "e": [0] * 7}
+
+
+@pytest.mark.parametrize(
+    "path, value, err",
+    [
+        (("metric", 0, 0), "1", "polynomial must be a list of terms"),
+        (("metric", 0, 0), [{"c": "1"}], "polynomial term must have 'c' and 'e'"),
+        (("metric", 0, 0), [_TORUS7_TERM, _TORUS7_TERM], "duplicate exponent vector [0, 0, 0, 0, 0, 0, 0]"),
+        (("metric",), [], "metric must be a 7x7 matrix"),
+        (("metric", 6), [[]], "metric must be a list of 7 polynomials"),
+        (("structures", 0, "xi"), [], "structure 1: xi must be a list of 7 polynomials"),
+        (("structures", 1, "eta"), [[]] * 8, "structure 2: eta must be a list of 7 polynomials"),
+        (("structures", 2, "phi"), [[]], "structure 3: phi must be a 7x7 matrix"),
+        (("structures", 1), [], "structure 2 must be an object"),
+        (("topology",), "torus", "topology must be an object with a 'type'"),
+        (("topology",), {}, "topology must be an object with a 'type'"),
+        (("topology", "type"), "klein", "unknown topology type 'klein'"),
+    ],
+    ids=["polynomial-not-a-list", "term-without-e", "duplicate-exponent", "metric-rows",
+         "metric-row-length", "xi-length", "eta-length", "phi-size", "structure-not-an-object",
+         "topology-not-an-object", "topology-without-type", "unknown-topology"],
+)
+def test_structure_file_rejects_malformed_shapes(tmp_path, capsys, path, value, err):
+    data = structure_file_dict(*builtin("torus7"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    assert run(capsys, "check", "--input", str(model)) == (EXIT_USAGE, "", f"cosym3: error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["betti", "liealg"])
+def test_chart_dimension_above_the_limit_is_refused_at_once(tmp_path, capsys, command):
+    # The flat torus of dimension 23 has 2^23 constant forms: betti and
+    # liealg refuse it before building any, instead of running out of memory.
+    path = tmp_path / "torus23.json"
+    path.write_text(json.dumps(structure_file_dict(*flat_torus(5))))
+    start = time.perf_counter()
+    result = run(capsys, command, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    err = "cosym3: error: chart dimension 23 is above 19, the largest whose cohomology is computed\n"
+    assert result == (EXIT_USAGE, "", err)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_number_too_long_to_print_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Python refuses str() of an int longer than its digit limit.  The report
+    # writer meets one in a(a - 1) for a 3000-digit a, and in the witness of a
+    # check with a 4000-digit phi entry.
+    data = structure_file_dict(*builtin("torus7"))
+    data["structures"][0]["phi"][0][0] = [{"c": "9" * 4000, "e": [0] * 7}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    err = f"cosym3: error: a number in the result is too long to print (over {sys.get_int_max_str_digits()} digits)\n"
+    for argv in (["deform", "--builtin", "torus7", "--a", "7" * 3000 + "/3"], ["check", "--input", str(model)]):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", err)
+    # Any other ValueError is a defect and keeps its traceback.
+    monkeypatch.setattr(cli, "build_check_report", lambda *args: int("x"))
+    with pytest.raises(ValueError, match="invalid literal"):
+        main(["check", "--builtin", "torus7"])
