@@ -324,6 +324,12 @@ def test_order_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("COSYM3_ORDER_BOUND", "potato")
     code, _, err = run(capsys, "check", "--builtin", "torus7")
     assert code == EXIT_USAGE
+    # An integer below 1 is refused like a non-integer.
+    for bound in ("0", "-3"):
+        monkeypatch.setenv("COSYM3_ORDER_BOUND", bound)
+        assert run(capsys, "check", "--builtin", "torus7") == (
+            EXIT_USAGE, "", f"cosym3: invalid COSYM3_ORDER_BOUND '{bound}'\n"
+        )
     monkeypatch.delenv("COSYM3_ORDER_BOUND")
     code, _, _ = run(capsys, "check", "--builtin", "m7f")
     assert code == EXIT_OK

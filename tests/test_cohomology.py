@@ -396,3 +396,73 @@ def test_e_operators_idempotent_on_matrices(torus7, m7f_model):
                     assert linalg.mat_mul(mats[a], mats[b]) == linalg.mat_mul(
                         mats[b], mats[a]
                     )
+
+
+def _per_image_blocks(bases, vector, images):
+    """The blocks of a degree-shifting operator built one image at a time:
+    block k holds the coordinates over bases[k + shift] of the image of
+    every degree-k basis vector."""
+    blocks = {}
+    for k, dst in vector.items():
+        col_images = [images(v) for v in bases[k].vectors]
+        blocks[k] = {}
+        for j, image in enumerate(col_images):
+            col = bases[dst].coordinates(image)
+            assert col is not None, (k, j)
+            blocks[k].update(((i, j), x) for i, x in col.items())
+    return blocks
+
+
+def test_small_operator_blocks_match_per_image_coordinates(torus7, m7f_model):
+    # l_alpha and lambda_alpha against a loop that wedges and contracts each
+    # harmonic basis vector alone and reads its coordinates, on the flat,
+    # sheared, deformed and mapping-torus models of dimensions 7 and 11.
+    from cosym3 import d_homothetic_deform, flat_torus
+    from cosym3.exterior import sparse_contract, sparse_wedge
+
+    m7f_space, m7f_t = m7f_model
+    models = {
+        "torus7": torus7,
+        "m7f": m7f_model,
+        "gl7_torus7": cases.gl7_torus7(),
+        "torus11": flat_torus(2),
+        "sheared11": cases.sheared11(),
+        "m7f_D_2/3": (m7f_space, d_homothetic_deform(m7f_t, "2/3")),
+        "swap11": cases.swap11(),
+    }
+    fractional = set()
+    for name, (space, t) in models.items():
+        m = t.m
+        ops = small_operators(space, t)
+        bases = [linalg.EchelonBasis(harmonic_space(space, t, k)) for k in range(m + 1)]
+        for alpha in (1, 2, 3):
+            s = t.structure(alpha)
+            eta = form_vector(s.eta)
+            xi = {i: p.constant_value() for i, p in enumerate(s.xi.components) if p}
+            l_blocks = _per_image_blocks(bases, {k: k + 1 for k in range(m)}, lambda v: sparse_wedge(eta, v))
+            lam_blocks = _per_image_blocks(bases, {k: k - 1 for k in range(1, m + 1)}, lambda v: sparse_contract(xi, v))
+            assert ops[f"l{alpha}"].sparse_blocks == l_blocks, (name, alpha)
+            assert ops[f"lambda{alpha}"].sparse_blocks == lam_blocks, (name, alpha)
+            for op in ("l", "lambda"):
+                entries = [x for block in ops[f"{op}{alpha}"].sparse_blocks.values() for x in block.values()]
+                assert all(type(x) is int or x.denominator != 1 for x in entries), (name, op, alpha)
+                if any(type(x) is not int for x in entries):
+                    fractional.add(name)
+    # The D_a-deformed xi_alpha = xi/a give lambda_alpha non-integral entries.
+    assert fractional == {"m7f_D_2/3"}
+
+
+def test_lambda_leaving_the_harmonic_forms_names_its_degree(m7f_model):
+    # xi_1 + d/dx1 contracts invariant 2-forms of m7f to fiber 1-forms that
+    # the monodromy moves; wedging with eta_1 still preserves everything.
+    from cosym3 import AlmostContactMetricStructure, ThreeStructure, VectorField
+
+    space, t = m7f_model
+    s = t.structure(1)
+    moved = AlmostContactMetricStructure(s.phi, s.xi + VectorField.coordinate(7, 0), s.eta, s.g)
+    broken = ThreeStructure([moved, t.structure(2), t.structure(3)])
+    message = "^lambda1 does not preserve harmonic forms at degree 2$"
+    with pytest.raises(CohomologyError, match=message):
+        small_operators(space, broken)
+    with pytest.raises(CohomologyError, match=message):
+        decompose(space, broken)

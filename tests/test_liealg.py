@@ -267,6 +267,59 @@ def test_span_analysis_detects_non_closure():
         assert res.killing is None
 
 
+def test_dependent_operators_take_the_closure_path():
+    # [A, 2A, B] spans the same space as [A, B], whose bracket H = [A, B]
+    # lies outside it: dependent, not closed, and the closure is sl(2).
+    # [A, 2A] alone is dependent and closed.
+    z, o = Fraction(0), Fraction(1)
+    a = oracles.sparse_matrix({0: [[z, o], [z, z]]})
+    b = oracles.sparse_matrix({0: [[z, z], [o, z]]})
+    a2 = {key: 2 * x for key, x in a.items()}
+    res = analyze_operator_span([a, a2, b])
+    assert not res.independent and not res.closed
+    assert res.span_dim == 3
+    assert res.bracket_coeffs is res.killing is res.signature is None
+    res = analyze_operator_span([a, a2])
+    assert not res.independent and res.closed
+    assert res.span_dim == 1
+    assert res.bracket_coeffs is None
+
+
+def test_bracket_matching_at_the_pivots_is_not_closed():
+    # X = E12 and Y = E23 have their pivots at (0, 1) and (1, 2), where
+    # [X, Y] = E13 is 0 like the combination 0 X + 0 Y; it differs from it
+    # at (0, 2), so the span is not closed and closes to the Heisenberg
+    # algebra span{E12, E23, E13}.
+    z, o = Fraction(0), Fraction(1)
+
+    def unit(r, c):
+        return oracles.sparse_matrix({0: [[o if (i, j) == (r, c) else z for j in range(3)] for i in range(3)]})
+
+    res = analyze_operator_span([unit(0, 1), unit(1, 2)])
+    assert res.independent and not res.closed
+    assert res.span_dim == 3
+    assert res.bracket_coeffs is None
+
+
+def test_bracket_coeffs_match_structure_constants_on_dense_conjugates():
+    # Three more seeded changes of basis of the reference so(4,1)
+    # realization: the coefficients are solved from pivot entries, and the
+    # oracle solves every bracket over all 25 entries.
+    gens = oracles.so41_generators()
+    for seed in (21, 22, 23):
+        p = randgen.unimodular(random.Random(seed), 5, shears=20)
+        p_inv = linalg.inverse(p)
+        dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+        res = analyze_operator_span([oracles.sparse_matrix({0: g}) for g in dense])
+        consts = oracles.structure_constants(dense)
+        expected = {
+            (i, j): {k: x for k, x in enumerate(consts[i][j]) if x}
+            for i, j in itertools.combinations(range(10), 2)
+        }
+        assert res.bracket_coeffs == expected, seed
+        assert res.signature == (4, 6, 0) and res.jacobi_ok and res.killing_invariance_ok
+
+
 def test_span_analysis_keys_keep_target_degree():
     # A keeps degree 0 and B maps it to degree 1 with the same block: they
     # differ only in the target degree, and [A, B] = -B.
