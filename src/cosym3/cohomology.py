@@ -24,13 +24,14 @@ from .exterior import (
     EndField,
     KForm,
     _pulled_back,
+    contract_images,
     exterior_derivative,
     form_vector,
     interior_product,
     monomial_images,
     sparse_contract,
-    sparse_wedge,
     vector_form,
+    wedge_images,
 )
 from .models import ModelSpace
 from .structures import CheckItem, CheckReport, DimensionError, EVEN_PERMS, ThreeStructure
@@ -66,24 +67,6 @@ def _eta_xi(t: ThreeStructure, alpha: int):
     s = t.structure(alpha)
     xi = {i: p.constant_value() for i, p in enumerate(s.xi.components) if not p.is_zero()}
     return form_vector(s.eta), xi
-
-
-def operator_matrix(
-    images: list[linalg.SparseVector], dst: linalg.EchelonBasis
-) -> linalg.SparseMatrix | None:
-    """Sparse matrix of an operator in given bases, or None if an image leaves the span."""
-    columns = [dst.coordinates(image) for image in images]
-    if None in columns:
-        return None
-    return {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
-
-
-def operator_block(images, dst, op: str, k: int) -> linalg.SparseMatrix:
-    """``operator_matrix``, raising when ``op`` maps a degree-k form off ``dst``."""
-    mat = operator_matrix(images, dst)
-    if mat is None:
-        raise CohomologyError(f"{op} does not preserve harmonic forms at degree {k}")
-    return mat
 
 
 # -- invariant forms under a finite-order monodromy ---------------------------
@@ -253,12 +236,14 @@ def small_operators(
         lam_blocks: dict[int, linalg.SparseMatrix] = {}
         for k in range(m + 1):
             vectors = bases[k].vectors
-            if k < m:
-                images = [sparse_wedge(eta, v) for v in vectors]
-                l_blocks[k] = operator_block(images, bases[k + 1], f"l{alpha}", k)
-            if k > 0:
-                images = [sparse_contract(xi, v) for v in vectors]
-                lam_blocks[k] = operator_block(images, bases[k - 1], f"lambda{alpha}", k)
+            for op, blocks, dst, images in (
+                (f"l{alpha}", l_blocks, k + 1, wedge_images(eta, vectors)),
+                (f"lambda{alpha}", lam_blocks, k - 1, contract_images(xi, vectors)),
+            ):
+                if 0 <= dst <= m:
+                    blocks[k] = bases[dst].columns(images)
+                    if type(blocks[k]) is int:
+                        raise CohomologyError(f"{op} does not preserve harmonic forms at degree {k}")
         e_blocks = {
             k: linalg.sparse_product(l_blocks[k - 1], lam_blocks[k]) if k else {} for k in range(m + 1)
         }
@@ -400,11 +385,11 @@ def verify_ladder(
                 if len(src) != len(dst):
                     items.append(CheckItem(name, False, f"dims {len(src)} -> {len(dst)}"))
                     continue
-                columns = [dst.coordinates(sparse_wedge(eta, v)) for v in src.vectors]
-                if None in columns:
+                mat = dst.columns(wedge_images(eta, src.vectors))
+                if type(mat) is int:
                     items.append(CheckItem(name, False, "image leaves the target component"))
                 else:
-                    injective = len(linalg.sparse_rref(columns)) == len(src)
+                    injective = len(linalg.sparse_rref(linalg.sparse_columns(mat).values())) == len(src)
                     items.append(CheckItem.check(name, injective, "restriction is not injective"))
     return CheckReport(tuple(items))
 
@@ -480,8 +465,8 @@ def quaternion_module(
     mats = {}
     for alpha in (1, 2, 3):
         phi = t.structure(alpha).phi.to_fractions()
-        mat = operator_matrix([_pulled_back(phi, v) for v in span.vectors], span)
-        preserved = mat is not None
+        mat = span.columns(_pulled_back(phi, v) for v in span.vectors)
+        preserved = type(mat) is not int
         items.append(CheckItem.check(f"hmodule_preserved[{alpha}]", preserved, "pullback leaves the component"))
         if preserved:
             mats[alpha] = mat

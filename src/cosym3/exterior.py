@@ -504,41 +504,64 @@ class Metric(EndField):
 # -- core operations --------------------------------------------------------
 
 
-def sparse_wedge(a: dict, b: dict) -> dict:
-    """Wedge of forms kept as dicts from monomial keys to nonzero
-    coefficients, each an entry or a Poly.  Above the top degree every pair
-    of keys shares an index, so the result is empty.
-
-    The inversion mask is built once per key of the smaller factor.
-    """
-    left = len(a) <= len(b)
-    outer, inner = (a, b) if left else (b, a)
+def _wedge(factor: list, v: dict) -> dict:
+    """a ^ v for forms kept as dicts from monomial keys to nonzero
+    coefficients, each an entry or a Poly, with the fixed factor a given as
+    (key, coefficient, inversion mask) triples; with the masks of
+    ``_inversion_mask(key, False)`` it is v ^ a.  Above the top degree every
+    pair of keys shares an index, so the result is empty."""
     out: dict = {}
-    for ko, x in outer.items():
-        mask = _inversion_mask(ko, left)
-        for ki, y in inner.items():
-            if ko & ki:
+    for ka, x, mask in factor:
+        for kv, y in v.items():
+            if ka & kv:
                 continue
             c = x * y
-            if (ki & mask).bit_count() & 1:
+            if (kv & mask).bit_count() & 1:
                 c = -c
-            key = ko | ki
+            key = ka | kv
             z = out.get(key)
             out[key] = c if z is None else z + c
     return {key: c for key, c in out.items() if c}
 
 
-def sparse_contract(xi: dict, v: dict) -> dict:
-    """i_X of a form kept as in ``sparse_wedge``; X maps each index to its
-    nonzero component, an entry or a Poly.  Contracting dx_K at index i
-    gives the key K ^ 2^i and the sign (-1)^popcount(K & (2^i - 1))."""
+def wedge_images(a: dict, vectors):
+    """a ^ v for each v of ``vectors``, with a's inversion masks built once."""
+    factor = [(key, x, _inversion_mask(key, True)) for key, x in a.items()]
+    return (_wedge(factor, v) for v in vectors)
+
+
+def sparse_wedge(a: dict, b: dict) -> dict:
+    """a ^ b, with the inversion masks of the smaller factor's keys."""
+    left = len(a) <= len(b)
+    outer, inner = (a, b) if left else (b, a)
+    return _wedge([(key, x, _inversion_mask(key, left)) for key, x in outer.items()], inner)
+
+
+def _contract(comps: list, v: dict) -> dict:
+    """i_X v for a form kept as in ``_wedge``, with X given as (2^i, 2^i - 1,
+    component) for each index i of a nonzero component, an entry or a Poly.
+    Contracting dx_K at index i gives the key K ^ 2^i and the sign
+    (-1)^popcount(K & (2^i - 1))."""
+    out: dict = {}
+    for key, x in v.items():
+        for bit, below, c in comps:
+            if key & bit:
+                y = -c * x if (key & below).bit_count() & 1 else c * x
+                z = out.get(key ^ bit)
+                out[key ^ bit] = y if z is None else z + y
+    return {key: y for key, y in out.items() if y}
+
+
+def contract_images(xi: dict, vectors):
+    """i_X v for each v of ``vectors``; X maps each index to its nonzero
+    component, and its bits are built once."""
     comps = [(1 << i, (1 << i) - 1, c) for i, c in xi.items()]
-    return linalg.sparse_sum(
-        (key ^ bit, -c * x if (key & below).bit_count() & 1 else c * x)
-        for key, x in v.items()
-        for bit, below, c in comps
-        if key & bit
-    )
+    return (_contract(comps, v) for v in vectors)
+
+
+def sparse_contract(xi: dict, v: dict) -> dict:
+    """i_X v, as in ``contract_images``."""
+    return _contract([(1 << i, (1 << i) - 1, c) for i, c in xi.items()], v)
 
 
 def wedge(alpha: KForm, beta: KForm) -> KForm:
@@ -604,20 +627,20 @@ class _Pullback:
     """A* on constant forms for a constant matrix A whose row i is A* dx_i.
 
     A* dx_K is memoized as the image of K without its highest index i wedged
-    with row i, one wedge per new monomial.  Entries are only ever added,
-    each a fixed function of its key, so callers may share one instance
-    freely.
+    with row i, one wedge per new monomial, with the inversion masks of each
+    row built once.  Entries are only ever added, each a fixed function of
+    its key, so callers may share one instance freely.
     """
 
     def __init__(self, mat: linalg.Matrix):
-        self.rows = [{1 << j: x for j, x in enumerate(row) if x} for row in mat]
+        self.rows = [[(1 << j, x, _inversion_mask(1 << j, False)) for j, x in enumerate(row) if x] for row in mat]
         self.images: dict[int, linalg.SparseVector] = {0: {0: 1}}
 
     def image(self, key: int) -> linalg.SparseVector:
         found = self.images.get(key)
         if found is None:
             top = key.bit_length() - 1
-            found = self.images[key] = sparse_wedge(self.image(key ^ 1 << top), self.rows[top])
+            found = self.images[key] = _wedge(self.rows[top], self.image(key ^ 1 << top))
         return found
 
     def __call__(self, v: linalg.SparseVector) -> linalg.SparseVector:

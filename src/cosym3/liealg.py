@@ -20,11 +20,11 @@ change and is recorded verbatim in the report, never silently adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from . import linalg
 from .cohomology import BASIC, CohomologyError, HarmonicTable, decompose
-from .exterior import HodgeOperator, KForm, form_vector, sparse_wedge, wedge
+from .exterior import HodgeOperator, KForm, form_vector, wedge, wedge_images
 from .models import ModelSpace
 from .structures import ThreeStructure, fundamental_form
 
@@ -77,16 +77,13 @@ def big_operators(
     ops = {"H": {(i, i): 2 * n - k for i, k in enumerate(degrees) if k != 2 * n}}
     for alpha in (1, 2, 3):
         xi2 = form_vector(xi_form(t, alpha))
-        ops[f"L{alpha}"], ops[f"Lam{alpha}"] = l_op, lam_op = {}, {}
-        for j, k in enumerate(degrees):
-            for name, op, image in (
-                (f"L{alpha}", l_op, sparse_wedge(xi2, vectors[j])),
-                (f"Lambda{alpha}", lam_op, star(sparse_wedge(xi2, starred[j]))),
-            ):
-                column = basis.coordinates(image)
-                if column is None:
-                    raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {k}")
-                op.update(((i, j), x) for i, x in column.items())
+        l_op = ops[f"L{alpha}"] = basis.columns(wedge_images(xi2, vectors))
+        lam_op = ops[f"Lam{alpha}"] = basis.columns(map(star, wedge_images(xi2, starred)))
+        # The first column off the span is reported, L before Lambda on a tie.
+        failed = [(j, name) for name, j in ((f"L{alpha}", l_op), (f"Lambda{alpha}", lam_op)) if type(j) is int]
+        if failed:
+            j, name = min(failed, key=lambda f: f[0])
+            raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {degrees[j]}")
     for alpha, (beta, gamma) in _COMPLEMENT.items():
         ops[f"K{alpha}"] = linalg.sparse_commutator(ops[f"L{beta}"], ops[f"Lam{gamma}"])
     return ops
@@ -162,25 +159,27 @@ def analyze_operator_span(ops: list[linalg.SparseMatrix]) -> SpanAnalysis:
     count = len(ops)
     basis = linalg.EchelonBasis(linalg.sparse_rref(ops))
     independent = len(basis) == count
-    brackets = {
-        (i, j): linalg.sparse_commutator(ops[i], ops[j])
-        for i, j in combinations(range(count), 2)
-    }
-    # Coordinates over the echelon basis, verified exactly; None off the span.
-    coords = {key: basis.coordinates(br) for key, br in brackets.items()}
-    outside = [brackets[key] for key, c in coords.items() if c is None]
+    brackets = linalg.sparse_commutators(ops)
+    if independent:
+        # A bracket in the span is sum_k c_k x_k, and its entries at the
+        # echelon pivots give c through the inverse of the operators' pivot
+        # entries; it is in the span exactly when the residual
+        # bracket - sum_k c_k x_k vanishes.
+        pivots = [min(v) for v in basis.vectors]
+        inv = linalg.inverse([[op.get(p, 0) for op in ops] for p in pivots])
+        coeffs = {
+            key: linalg.sparse_sum((k, inv[k][b] * br[p]) for b, p in enumerate(pivots) if p in br for k in range(count))
+            for key, br in brackets.items()
+        }
+        outside = [
+            br for key, br in brackets.items()
+            if linalg.sparse_sum(chain(br.items(), ((rc, -c * x) for k, c in coeffs[key].items() for rc, x in ops[k].items())))
+        ]
+    else:
+        outside = [br for br in brackets.values() if basis.coordinates(br) is None]
     if outside or not independent:
         dim = _closure_dim(basis, outside)
         return SpanAnalysis(independent, not outside, dim, None, None, None, None, None, None)
-
-    # The echelon coordinates are a bracket's entries at the pivots, so its
-    # coordinates over the operators solve the operators' pivot entries.
-    pivots = [min(v) for v in basis.vectors]
-    inv = linalg.inverse([[op.get(p, 0) for op in ops] for p in pivots])
-    coeffs = {
-        key: linalg.sparse_sum((k, inv[k][b] * x) for b, x in c.items() for k in range(count))
-        for key, c in coords.items()
-    }
     killing, jacobi_ok, invariance_ok = _certify(coeffs, count)
     pos, neg, zero = linalg.signature(killing)
     return SpanAnalysis(
@@ -214,11 +213,8 @@ def _certify(coeffs: dict, count: int) -> tuple[linalg.Matrix, bool, bool]:
         terms = (x * ad[j][l, k] for (k, l), x in ad[i].items() if (l, k) in ad[j])
         killing[i][j] = killing[j][i] = sum(terms)
     jacobi_ok = all(
-        linalg.sparse_commutator(ad[i], ad[j])
-        == linalg.sparse_sum(
-            (rc, x * y) for k, x in coeffs.get((i, j), {}).items() for rc, y in ad[k].items()
-        )
-        for i, j in combinations(range(count), 2)
+        br == linalg.sparse_sum((rc, x * y) for k, x in coeffs.get(key, {}).items() for rc, y in ad[k].items())
+        for key, br in linalg.sparse_commutators(ad).items()
     )
     form = {(i, j): x for i, row in enumerate(killing) for j, x in enumerate(row) if x}
     invariance_ok = all(
@@ -232,7 +228,7 @@ def _closure_dim(basis: linalg.EchelonBasis, outside: list[linalg.SparseMatrix])
     """Dimension of the smallest bracket-closed span containing both arguments."""
     while outside:
         basis = linalg.EchelonBasis(linalg.sparse_rref(basis.vectors + tuple(outside)))
-        brackets = (linalg.sparse_commutator(a, b) for a, b in combinations(basis.vectors, 2))
+        brackets = linalg.sparse_commutators(basis.vectors).values()
         outside = [br for br in brackets if basis.coordinates(br) is None]
     return len(basis)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 Entry = int | Fraction
 Matrix = list[list[Entry]]
@@ -145,22 +145,39 @@ def sparse_sum(terms) -> SparseVector:
     return {key: x.numerator if type(x) is Fraction and x.denominator == 1 else x for key, x in out.items() if x}
 
 
-def _product_terms(a: SparseMatrix, b: SparseMatrix, sign: int = 1):
-    """The terms sign * a[r, k] * b[k, c] of sign * ab, keyed (r, c)."""
+def _rows(b: SparseMatrix) -> dict:
+    """The nonzero rows of a sparse matrix, each a list of (column, entry)."""
     rows: dict = {}
     for (r, c), y in b.items():
         rows.setdefault(r, []).append((c, y))
+    return rows
+
+
+def _product_terms(a: SparseMatrix, rows: dict, sign: int = 1):
+    """The terms sign * a[r, k] * b[k, c] of sign * ab, keyed (r, c), for b
+    given by its ``_rows``."""
     return (((r, c), sign * x * y) for (r, k), x in a.items() for c, y in rows.get(k, ()))
 
 
 def sparse_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """ab, summing products of nonzero entries only."""
-    return sparse_sum(_product_terms(a, b))
+    return sparse_sum(_product_terms(a, _rows(b)))
+
+
+def sparse_commutators(mats) -> dict[tuple[int, int], SparseMatrix]:
+    """[a_i, a_j] = a_i a_j - a_j a_i for every i < j, keyed (i, j), summing
+    products of nonzero entries only; each matrix's rows are grouped once."""
+    mats = list(mats)
+    rows = [_rows(a) for a in mats]
+    return {
+        (i, j): sparse_sum(chain(_product_terms(mats[i], rows[j]), _product_terms(mats[j], rows[i], -1)))
+        for i, j in combinations(range(len(mats)), 2)
+    }
 
 
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """ab - ba, summing products of nonzero entries only."""
-    return sparse_sum(chain(_product_terms(a, b), _product_terms(b, a, -1)))
+    """ab - ba, as in ``sparse_commutators``."""
+    return sparse_commutators((a, b))[0, 1]
 
 
 def sparse_columns(a: SparseMatrix) -> dict:
@@ -228,14 +245,32 @@ class EchelonBasis:
 
     def coordinates(self, vec: SparseVector) -> dict[int, Entry] | None:
         """Coordinates of ``vec``, verified exactly; None outside the span."""
-        coords = {}
-        rest = {key: x for key, x in vec.items() if x}
-        for key, c in vec.items():
-            i = self.index.get(key)
-            if i is not None and c:
-                coords[i] = c
-                add_scaled(rest, -c, self.vectors[i])
-        return None if rest else coords
+        mat = self.columns((vec,))
+        return None if type(mat) is int else {i: c for (i, _), c in mat.items()}
+
+    def columns(self, images) -> SparseMatrix | int:
+        """The matrix, keyed (row, col), whose column j holds the coordinates
+        of the j-th of the sparse vectors ``images``, each verified exactly
+        by subtracting its combination of the basis; or the index of the
+        first image outside the span, where the images stop being read."""
+        index, vectors = self.index, self.vectors
+        out: SparseMatrix = {}
+        for j, vec in enumerate(images):
+            rest = dict(vec)
+            for key, c in vec.items():
+                i = index.get(key)
+                if i is None:
+                    continue
+                out[i, j] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for k, x in vectors[i].items():
+                    y = rest.get(k, 0) - c * x
+                    if y:
+                        rest[k] = y
+                    else:
+                        rest.pop(k, None)
+            if rest:
+                return j
+        return out
 
 
 def det(a: Matrix) -> Entry:

@@ -159,11 +159,11 @@ def test_decompose_builds_each_fiber_degree_once(m7f_model, torus7, monkeypatch)
 
     space, t = m7f_model
     fibers = dict(enumerate(cohomology.fiber_invariants(space.topology.monodromy, space.topology.order)))
-    counting(cohomology, "sparse_wedge")
+    counting(cohomology, "wedge_images")
     counting(linalg, "sparse_rref")
     bases = [harmonic_space(space, t, k, fibers) for k in range(8)]
     assert [len(basis) for basis in bases] == list(table.b)
-    assert calls["sparse_wedge"] == calls["sparse_rref"] == 0
+    assert calls["wedge_images"] == calls["sparse_rref"] == 0
 
 
 def test_trace_cross_check_names_the_fiber_degree(m7f_model):

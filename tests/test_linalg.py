@@ -151,8 +151,6 @@ def test_sparse_rref_matches_dense_reference():
 
 
 def test_pivot_coordinates_match_exact_solve():
-    from cosym3.cohomology import operator_matrix
-
     rng = random.Random(62)
     outside = 0
     for trial in range(200):
@@ -173,19 +171,56 @@ def test_pivot_coordinates_match_exact_solve():
         # each image independently of linalg.
         dmat = [[v.get(r, F(0)) for v in basis.vectors] for r in range(cols)]
         solutions = [oracles._solve_exact(dmat, _dense(im, cols)) for im in images]
-        expected = None if None in solutions else {
+        expected = solutions.index(None) if None in solutions else {
             (i, j): x for j, sol in enumerate(solutions) for i, x in enumerate(sol) if x
         }
-        assert operator_matrix(images, basis) == expected
+        assert basis.columns(images) == expected
         for im, sol in zip(images, solutions):
             assert basis.coordinates(im) == (None if sol is None else {i: x for i, x in enumerate(sol) if x})
-        outside += expected is None
+        outside += None in solutions
     assert outside > 20
     empty = linalg.EchelonBasis([])
     assert empty.coordinates({}) == {}
     assert empty.coordinates({(0, 1): F(1)}) is None
-    assert operator_matrix([{}, {}], empty) == {}
-    assert operator_matrix([{(0,): F(2)}], empty) is None
+    assert empty.columns([{}, {}]) == {}
+    assert empty.columns([{}, {(0,): F(2)}, {}]) == 1
+
+
+def test_columns_match_a_per_image_coordinates_loop():
+    # Random sparse echelon bases and images made as combinations of the
+    # basis, with Fraction coefficients, some nudged off the span: the
+    # batched columns are the per-image coordinates, the first image off the
+    # span is reported by its index, and the images after it are not read.
+    rng = random.Random(64)
+    integral = fractional = outside = 0
+    for trial in range(300):
+        cols = rng.randint(1, 9)
+        basis = linalg.EchelonBasis(
+            linalg.sparse_rref(_sparse(r) for r in _random_rows(rng, rng.randint(0, 6), cols))
+        )
+        images = []
+        for _ in range(rng.randint(0, 6)):
+            combo = {}
+            for v in basis.vectors:
+                linalg.add_scaled(combo, F(rng.randint(-4, 4), rng.choice((1, 2, 3))), v)
+            if rng.random() < 0.15:
+                j = rng.randrange(cols)
+                combo[j] = combo.get(j, 0) + F(rng.randint(1, 3), rng.choice((1, 2)))
+            images.append({j: x for j, x in combo.items() if x})
+        per_image = [basis.coordinates(im) for im in images]
+        got = basis.columns(iter(images))
+        if None in per_image:
+            assert got == per_image.index(None)
+            read = []
+            assert basis.columns(read.append(im) or im for im in images) == got
+            assert len(read) == got + 1
+            outside += 1
+            continue
+        assert got == {(i, j): x for j, col in enumerate(per_image) for i, x in col.items()}
+        assert not [x for x in got.values() if type(x) is Fraction and x.denominator == 1]
+        integral += any(type(x) is int for x in got.values())
+        fractional += any(type(x) is Fraction for x in got.values())
+    assert min(integral, fractional, outside) > 20
 
 
 def test_sparse_commutator_matches_dense_reference():
