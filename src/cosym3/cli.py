@@ -219,11 +219,8 @@ def parse_structure_file(
     else:
         raise StructureFileError(f"unknown topology type {kind!r}")
     topo = Topology.of(kind, monodromy, order_bound)
-    try:
-        space = ModelSpace(dim, tuple(coords), topo)
-        t = ThreeStructure(structures)
-    except (ValueError, StructureError) as exc:
-        raise StructureFileError(str(exc)) from exc
+    space = ModelSpace(dim, tuple(coords), topo)
+    t = ThreeStructure(structures)
     if topo.compact and not t.constant:
         raise StructureFileError(
             "torus and mapping_torus models require constant coefficients "
