@@ -23,7 +23,7 @@ from . import linalg
 from .exterior import (
     EndField,
     KForm,
-    _pulled_back,
+    _Pullback,
     contract_images,
     exterior_derivative,
     form_vector,
@@ -465,7 +465,7 @@ def quaternion_module(
     mats = {}
     for alpha in (1, 2, 3):
         phi = t.structure(alpha).phi.to_fractions()
-        mat = span.columns(_pulled_back(phi, v) for v in span.vectors)
+        mat = span.columns(map(_Pullback(phi), span.vectors))
         preserved = type(mat) is not int
         items.append(CheckItem.check(f"hmodule_preserved[{alpha}]", preserved, "pullback leaves the component"))
         if preserved:
