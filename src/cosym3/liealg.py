@@ -79,11 +79,11 @@ def big_operators(
         xi2 = form_vector(xi_form(t, alpha))
         l_op = ops[f"L{alpha}"] = basis.columns(wedge_images(xi2, vectors))
         lam_op = ops[f"Lam{alpha}"] = basis.columns(map(star, wedge_images(xi2, starred)))
-        # The first column off the span is reported, L before Lambda on a tie.
-        failed = [(j, name) for name, j in ((f"L{alpha}", l_op), (f"Lambda{alpha}", lam_op)) if type(j) is int]
+        # The lowest source degree off the span is reported, L before Lambda.
+        failed = [(degrees[j], name) for name, j in ((f"L{alpha}", l_op), (f"Lambda{alpha}", lam_op)) if type(j) is int]
         if failed:
-            j, name = min(failed, key=lambda f: f[0])
-            raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {degrees[j]}")
+            k, name = min(failed, key=lambda f: f[0])
+            raise CohomologyError(f"{name} does not preserve the basic harmonic forms at degree {k}")
     for alpha, (beta, gamma) in _COMPLEMENT.items():
         ops[f"K{alpha}"] = linalg.sparse_commutator(ops[f"L{beta}"], ops[f"Lam{gamma}"])
     return ops
