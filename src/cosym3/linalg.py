@@ -244,7 +244,8 @@ class EchelonBasis:
         return len(self.vectors)
 
     def coordinates(self, vec: SparseVector) -> dict[int, Entry] | None:
-        """Coordinates of ``vec``, verified exactly; None outside the span."""
+        """Coordinates of the sparse vector ``vec``, verified exactly; None
+        outside the span."""
         mat = self.columns((vec,))
         return None if type(mat) is int else {i: c for (i, _), c in mat.items()}
 
