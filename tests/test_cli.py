@@ -280,6 +280,29 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    (["check"], "cosym3 check: error: one of the arguments --builtin --input is required"),
+    (["frobnicate", "--builtin", "torus7"],
+     "cosym3: error: argument command: invalid choice: 'frobnicate'"
+     " (choose from 'check', 'betti', 'deform', 'liealg')"),
+    (["deform", "--builtin", "torus7"],
+     "cosym3 deform: error: the following arguments are required: --a"),
+    (["check", "--builtin", "torus7", "--input", "x.json"],
+     "cosym3 check: error: argument --input: not allowed with argument --builtin"),
+    (["deform", "--builtin", "torus7", "--a", "0"],
+     "cosym3 deform: error: argument --a: deformation parameter must be positive"),
+])
+def test_usage_error_messages(capsys, argv, last_line):
+    # Only the last line: the usage lines above it wrap with the terminal
+    # width and differ between Python versions.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == last_line
+
+
 def test_exponent_notation_deformation_parameter_is_a_usage_error(capsys):
     # Fraction("1e1000000") would expand a million digits; --a takes p/q only.
     with pytest.raises(SystemExit) as exc:
