@@ -10,6 +10,7 @@ parse, or model errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -449,6 +450,7 @@ def _positive_fraction(text: str) -> Entry:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosym3",

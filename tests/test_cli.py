@@ -1,5 +1,7 @@
+import argparse
 import json
 import sys
+import threading
 import time
 
 import pytest
@@ -356,6 +358,75 @@ def test_order_bound_env(capsys, monkeypatch):
     monkeypatch.delenv("COSYM3_ORDER_BOUND")
     code, _, _ = run(capsys, "check", "--builtin", "m7f")
     assert code == EXIT_OK
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # main builds its argparse tree on the first call and reuses it, so the
+    # calls after the first construct no parser, a usage error included.
+    original = argparse.ArgumentParser.__init__
+    built = [0]
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    calls = [
+        ["check", "--builtin", "torus7"],
+        ["betti", "--builtin", "torus7"],
+        ["check"],
+        ["check", "--builtin", "torus7"],
+        ["liealg", "--builtin", "torus7"],
+    ]
+    per_call, outs = [], []
+    for argv in calls:
+        built[0] = 0
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        per_call.append(built[0])
+        outs.append((code, capsys.readouterr().out))
+    assert per_call[1:] == [0, 0, 0, 0]
+    assert outs[2] == (EXIT_USAGE, "")
+    assert outs[3] == outs[0] and outs[0][0] == EXIT_OK
+
+
+def test_threads_share_the_entry_point(tmp_path):
+    # The parser is shared by every call of main; two threads running the
+    # same commands at once must write what one thread writes alone.
+    commands = [
+        [command, "--builtin", name]
+        for name in ("torus7", "m7f")
+        for command in ("check", "betti", "liealg")
+    ]
+
+    def run_all(tag, repeats):
+        results = []
+        for r in range(repeats):
+            for i, argv in enumerate(commands):
+                path = tmp_path / f"{tag}-{r}-{i}.json"
+                code = main(argv + ["--output", str(path)])
+                results.append((code, path.read_bytes()))
+        return results
+
+    serial = run_all("serial", 1)
+    repeats = 3
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def worker(tag):
+        barrier.wait()
+        results[tag] = run_all(tag, repeats)
+
+    threads = [threading.Thread(target=worker, args=(tag,)) for tag in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert {0, 1} >= {code for code, _ in serial}
+    for tag in ("a", "b"):
+        assert results[tag] == serial * repeats
 
 
 def test_pretty_output(capsys):
