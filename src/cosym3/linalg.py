@@ -9,8 +9,8 @@ sparse vector it returns holds an ``int`` wherever the value is integral.
 Sparse vectors are dicts from ordered keys to nonzero entries, and sparse
 matrices are sparse vectors keyed by (row, column) pairs.  One Gauss-Jordan
 elimination, ``sparse_rref``, serves everything: the dense ``rref``,
-``rank``, ``kernel_basis`` and ``inverse`` on lists of lists of entries are
-views of it.  Everything here is deterministic: pivots are chosen by
+``kernel_basis`` and ``inverse`` on lists of lists of entries are views of
+it.  Everything here is deterministic: pivots are chosen by
 position, never by magnitude, and kernel and row-space bases are
 reduced-echelon vectors taken in column order.
 """
@@ -97,10 +97,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     rows = sparse_rref(_sparse_rows(a))
     red = [[row.get(j, 0) for j in range(cols)] for row in rows]
     return red + zeros(len(a) - len(rows), cols), [min(row) for row in rows]
-
-
-def rank(a: Matrix) -> int:
-    return len(sparse_rref(_sparse_rows(a)))
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
