@@ -412,7 +412,7 @@ def test_threads_share_the_entry_point(tmp_path):
 
     serial = run_all("serial", 1)
     repeats = 3
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(2, timeout=60)
     results = {}
 
     def worker(tag):
@@ -420,11 +420,17 @@ def test_threads_share_the_entry_point(tmp_path):
         results[tag] = run_all(tag, repeats)
 
     threads = [threading.Thread(target=worker, args=(tag,)) for tag in ("a", "b")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert {0, 1} >= {code for code, _ in serial}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside parsing too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [code for code, _ in serial] == [EXIT_OK] * len(commands)
     for tag in ("a", "b"):
         assert results[tag] == serial * repeats
 
