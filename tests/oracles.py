@@ -13,7 +13,9 @@ The exception is the last section: ``invariant_forms_per_monomial`` and
 ``harmonic_by_wedges`` run on the package's sparse kernels (``linalg`` and
 ``exterior``) to pin the cohomology layer's invariant and harmonic bases to
 the per-monomial orbit sums and the wedge-then-eliminate assembly, entry for
-entry.
+entry.  ``projector_components`` takes the harmonic bases and the e_alpha
+blocks as given and splits them by products of projectors in plain dict
+arithmetic, with its own elimination.
 """
 
 from __future__ import annotations
@@ -566,3 +568,84 @@ def harmonic_by_wedges(fibers, d, k):
             for t_set in combinations(range(d, d + 3), p):
                 forms.extend(sparse_wedge({monomial_key(t_set): 1}, w) for w in fibers[q])
     return linalg.sparse_rref(forms)
+
+
+def _dict_product(a, b):
+    """ab for matrices given as dicts keyed (row, column)."""
+    rows = {}
+    for (r, c), y in b.items():
+        rows.setdefault(r, []).append((c, y))
+    out = {}
+    for (r, k), x in a.items():
+        for c, y in rows.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def _dict_rref(vectors):
+    """Reduced echelon basis of the span of dict vectors, in pivot order: each
+    vector is 1 at its smallest key and every other one is 0 there."""
+    rows = {}
+    for vec in vectors:
+        v = {key: Fraction(x) for key, x in vec.items() if x}
+        while v:
+            p = min(v)
+            if p not in rows:
+                rows[p] = {key: x / v[p] for key, x in v.items()}
+                break
+            f = v[p]
+            for key, x in rows[p].items():
+                y = v.get(key, 0) - f * x
+                if y:
+                    v[key] = y
+                else:
+                    del v[key]
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for q in [key for key in row if key != p and key in rows]:
+            f = row[q]
+            for key, x in rows[q].items():
+                y = row.get(key, 0) - f * x
+                if y:
+                    row[key] = y
+                else:
+                    del row[key]
+    return [rows[p] for p in sorted(rows)]
+
+
+def projector_components(bases, e):
+    """The eightfold split of the harmonic spaces as projector images.
+
+    ``bases[k]`` is the reduced echelon basis of the harmonic k-forms and
+    ``e[alpha][k]`` the matrix of e_(alpha+1) on it, keyed (row, column).
+    The component (k, eps) is the reduced echelon basis of the image of
+    prod_alpha (eps_alpha e_alpha + (1 - eps_alpha)(1 - e_alpha)), found in
+    coordinates and mapped back to forms; the basis vectors are 1 at their
+    own pivots and 0 at the others, so this keeps the forms reduced.
+    """
+    out = {}
+    for k, basis in enumerate(bases):
+        parts = {(): {(i, i): 1 for i in range(len(basis))}}
+        for blocks in e:
+            split = {}
+            for eps, part in parts.items():
+                on = _dict_product(blocks.get(k, {}), part)
+                off = dict(part)
+                for key, x in on.items():
+                    off[key] = off.get(key, 0) - x
+                split[eps + (1,)] = on
+                split[eps + (0,)] = {key: x for key, x in off.items() if x}
+            parts = split
+        for eps, part in parts.items():
+            columns = {}
+            for (r, c), x in part.items():
+                columns.setdefault(c, {})[r] = x
+            forms = []
+            for coords in _dict_rref(columns[c] for c in sorted(columns)):
+                form = {}
+                for i, c in coords.items():
+                    for key, x in basis[i].items():
+                        form[key] = form.get(key, 0) + c * x
+                forms.append({key: x for key, x in form.items() if x})
+            out[k, eps] = forms
+    return out

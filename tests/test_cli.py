@@ -188,6 +188,22 @@ def test_noncommuting_e_is_a_model_inconsistency(tmp_path, capsys):
         )
 
 
+def test_duplicated_structure_is_a_model_inconsistency(tmp_path, capsys):
+    # torus7 with structure 2's (eta, xi) replaced by structure 1's: e1 = e2
+    # are commuting idempotents, but the split does not add up.
+    space, t = flat_torus(1)
+    s1, s2, s3 = t.structures
+    dup = ThreeStructure([s1, AlmostContactMetricStructure(s2.phi, s1.xi, s1.eta, s2.g), s3])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(structure_file_dict(space, dup)))
+    for command in ("betti", "liealg"):
+        assert run(capsys, command, "--input", str(path)) == (
+            EXIT_VERDICT_FAIL,
+            "",
+            "cosym3: model inconsistency: dim of component 100 at degree 1 is 0, expected 1\n",
+        )
+
+
 def test_betti_eta_off_invariant_forms_leaves_harmonic_space(tmp_path, capsys):
     # eta_1 + dx1 on m7f: dx1 is not fixed by the monodromy, so l1 maps the
     # constant function out of the harmonic 1-forms.

@@ -384,6 +384,48 @@ def test_component_forms_are_reduced_echelon_joint_eigenforms(
                         assert image == f.scaled(eps[alpha - 1])
 
 
+def _projector_spans(space, t):
+    """``oracles.projector_components`` on the harmonic bases and e_alpha blocks."""
+    ops = small_operators(space, t)
+    bases = [harmonic_space(space, t, k) for k in range(t.m + 1)]
+    return oracles.projector_components(bases, [ops[f"e{alpha}"].sparse_blocks for alpha in (1, 2, 3)])
+
+
+def _spans(table):
+    return {key: list(basis.vectors) for key, basis in table.spans.items()}
+
+
+def test_spans_match_the_projector_split(torus7, torus7_table, m7f_model, m7f_table):
+    # Every component, vector for vector, against the images of the products
+    # of the e_alpha projectors, on flat, sheared, deformed and mapping-torus
+    # models of dimensions 7 and 11.
+    from cosym3 import d_homothetic_deform
+
+    m7f_space, m7f_t = m7f_model
+    models = {
+        "torus7": (torus7, torus7_table),
+        "m7f": (m7f_model, m7f_table),
+        "gl7_torus7": (cases.gl7_torus7(), None),
+        "sheared11": (cases.sheared11(), None),
+        "swap11": (cases.swap11(), None),
+        "m7f_D_2/3": ((m7f_space, d_homothetic_deform(m7f_t, "2/3")), None),
+    }
+    for name, ((space, t), table) in models.items():
+        table = table or decompose(space, t)
+        assert _spans(table) == _projector_spans(space, t), name
+
+
+@pytest.mark.slow
+def test_sheared_torus15_split():
+    # The flat torus15 pulled back by 8 seeded shears: every e_alpha is dense
+    # in the monomial basis, and b_7 = 6435.
+    space, t = cases.sheared_torus(3, 8)
+    table = decompose(space, t)
+    assert table.b == tuple(math.comb(15, k) for k in range(16))
+    assert table.bh == tuple(math.comb(12, k) for k in range(16))
+    assert _spans(table) == _projector_spans(space, t)
+
+
 def test_e_operators_idempotent_on_matrices(torus7, m7f_model):
     for space, t in (torus7, m7f_model):
         ops = small_operators(space, t)
