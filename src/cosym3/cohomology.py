@@ -9,8 +9,15 @@ The invariant forms of every fiber degree come from one pass of averaging
 projectors, one orbit sum per orbit, and the harmonic bases are read off them.
 Each space is kept as its reduced echelon basis over the monomial keys in
 increasing order, which is colex order on the index sets, and each operator
-as one sparse matrix per degree of the coordinates read off its pivots; the
-eightfold split is computed on the e_alpha matrices and mapped back to forms.
+as one sparse matrix per degree of the coordinates read off its pivots.
+
+The eightfold split is built as H^k = sum over eps of eta_eps ^ H_B^(k-|eps|),
+where H_B is the basic harmonic forms, the null space of the stacked
+lambda_alpha, and eta_eps the wedge of the eta_alpha with eps_alpha = 1.
+Three checks make each summand the joint e_alpha eigenspace of pattern eps:
+eta_beta(xi_alpha) = delta_alpha_beta gives e_alpha = eps_alpha on it; every
+eta_alpha ^ keeps the harmonic forms, so it lies in that eigenspace; and the
+dimensions sum to b_k, so no eigenspace is larger than its summand.
 """
 
 from __future__ import annotations
@@ -282,11 +289,19 @@ class HarmonicTable:
 def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     """Split every harmonic space into the eight joint e_alpha eigenspaces.
 
-    Verifies on the way that the e_alpha are commuting idempotents, that the
-    component dimensions reproduce b_k and the basic Betti numbers, and that
-    the (0,0,0) component is exactly the basic harmonic subspace.  Any
-    failure raises :class:`CohomologyError`, and a chart dimension that is
-    not 4n + 3 or is above ``MAX_CHART_DIM`` raises :class:`DimensionError`
+    After checking that the e_alpha are commuting idempotents, it takes the
+    basic harmonic k-forms H_B^k as the null space of the stacked
+    lambda_alpha blocks, and the component eps at degree k as
+    C = eta_eps ^ H_B^(k - |eps|), with eta_eps the wedge of the eta_alpha
+    with eps_alpha = 1.  C is the joint eigenspace E_eps in H^k because:
+    eta_beta(xi_alpha) = delta_alpha_beta, checked, gives
+    e_alpha(eta_eps ^ w) = eps_alpha eta_eps ^ w for every basic w;
+    every eta_alpha ^ keeps the harmonic forms (``small_operators``), so C
+    lies in E_eps; and the E_eps of distinct patterns are independent, so
+    dimensions that sum to b_k, checked, leave no room beside each C.  Each
+    dimension is also checked against the basic Betti numbers.  Any failure
+    raises :class:`CohomologyError`, and a chart dimension that is not
+    4n + 3 or is above ``MAX_CHART_DIM`` raises :class:`DimensionError`
     first.
     """
     t.require_dimension()
@@ -299,8 +314,7 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     b = tuple(len(basis) for basis in bases)
     # Raises unless l, lambda and e preserve the harmonic forms.
     ops = small_operators(space, t, bases)
-    spans: dict[tuple[int, tuple[int, int, int]], linalg.EchelonBasis] = {}
-    for k, basis in enumerate(bases):
+    for k in range(m + 1):
         e = [ops[f"e{alpha}"].sparse_blocks[k] for alpha in (1, 2, 3)]
         for alpha in range(3):
             if linalg.sparse_product(e[alpha], e[alpha]) != e[alpha]:
@@ -308,24 +322,33 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
             for beta in range(alpha + 1, 3):
                 if linalg.sparse_commutator(e[alpha], e[beta]):
                     raise CohomologyError(f"e{alpha + 1} and e{beta + 1} do not commute on degree {k}")
-        # The component eps is the image of the projector prod_alpha
-        # (eps_alpha e_alpha + (1 - eps_alpha)(1 - e_alpha)), built one factor
-        # at a time in coordinates over the harmonic basis.
-        parts = {(): {(i, i): 1 for i in range(b[k])}}
-        for alpha in range(3):
-            split = {}
-            for eps, part in parts.items():
-                split[eps + (1,)] = on = linalg.sparse_product(e[alpha], part)
-                split[eps + (0,)] = linalg.sparse_sum([*part.items(), *((rc, -x) for rc, x in on.items())])
-            parts = split
+    etas, xis = zip(*(_eta_xi(t, alpha) for alpha in (1, 2, 3)))
+    for alpha, xi in enumerate(xis, 1):
+        for beta, eta in enumerate(etas, 1):
+            value = sparse_contract(xi, eta).get(0, 0)
+            if value != (alpha == beta):
+                raise CohomologyError(f"eta{beta}(xi{alpha}) = {value}, expected {int(alpha == beta)}")
+    spans: dict[tuple[int, tuple[int, int, int]], linalg.EchelonBasis] = {}
+    for k, basis in enumerate(bases):
+        # Constant forms are closed, so the basic ones are the kernel of
+        # omega -> (i_xi_alpha omega)_alpha, whose rows are the lambda_alpha rows.
+        stacked: dict = {}
+        for alpha in (1, 2, 3):
+            for (r, c), x in ops[f"lambda{alpha}"].sparse_blocks.get(k, {}).items():
+                stacked.setdefault((alpha, r), {})[c] = x
         # Every basis vector is 1 at its own pivot and 0 at the others, so the
         # reduced echelon coordinates give the reduced echelon forms.
-        for eps in EPS_ORDER:
-            coords = linalg.sparse_rref(linalg.sparse_columns(parts[eps]).values())
-            spans[(k, eps)] = linalg.EchelonBasis([
-                linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
-                for v in coords
-            ])
+        coords = linalg.sparse_rref(linalg.sparse_kernel(stacked.values(), b[k]))
+        spans[(k, BASIC)] = linalg.EchelonBasis([
+            linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
+            for v in coords
+        ])
+        # eta_eps ^ H_B is eta_alpha ^ (eta_(eps - alpha) ^ H_B), alpha the first 1 of eps.
+        for eps in EPS_ORDER[1:]:
+            alpha = eps.index(1)
+            lower = spans.get((k - 1, eps[:alpha] + (0,) + eps[alpha + 1:]))
+            images = wedge_images(etas[alpha], lower.vectors if lower else ())
+            spans[(k, eps)] = linalg.EchelonBasis(linalg.sparse_rref(images))
     bh = tuple(len(spans[(k, BASIC)]) for k in range(m + 1))
     for k in range(m + 1):
         total = sum(len(spans[(k, eps)]) for eps in EPS_ORDER)
@@ -341,22 +364,6 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
                     f"dim of component {eps_label(eps)} at degree {k} is "
                     f"{len(spans[(k, eps)])}, expected {expected}"
                 )
-    xis = [_eta_xi(t, alpha)[1] for alpha in (1, 2, 3)]
-    for k, basis in enumerate(bases):
-        # The basic forms are the kernel of omega -> (i_xi_alpha omega)_alpha,
-        # whose matrix stacks the three lambda_alpha blocks.
-        lams = [ops[f"lambda{alpha}"].sparse_blocks.get(k, {}) for alpha in (1, 2, 3)]
-        stacked = {((alpha, r), c): x for alpha, lam in enumerate(lams) for (r, c), x in lam.items()}
-        basic_dim = len(basis) - len(linalg.sparse_rref(linalg.sparse_columns(stacked).values()))
-        comp = spans[(k, BASIC)]
-        if basic_dim != len(comp):
-            raise CohomologyError(
-                f"basic harmonic dimension {basic_dim} differs from the "
-                f"(0,0,0) component dimension {len(comp)} at degree {k}"
-            )
-        # Constant forms are closed, so basic means every i_xi_alpha kills it.
-        if any(sparse_contract(xi, v) for v in comp.vectors for xi in xis):
-            raise CohomologyError(f"a (0,0,0) component basis form of degree {k} is not basic")
     return HarmonicTable(m, spans, b, bh)
 
 

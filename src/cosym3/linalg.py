@@ -100,21 +100,10 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Canonical basis of the null space, one vector per free column."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
+    """Canonical basis of the null space, one vector per free column: the
+    vectors of ``sparse_kernel`` laid out densely."""
+    cols = len(a[0]) if a else 0
+    return [[v.get(j, 0) for j in range(cols)] for v in sparse_kernel(_sparse_rows(a), cols)]
 
 
 def add_scaled(v: SparseVector, c: Entry, w: SparseVector) -> None:
@@ -210,6 +199,23 @@ def sparse_rref(vectors) -> list[SparseVector]:
             add_scaled(row, -row[q], rows[q])
         rows[p] = {key: x.numerator if type(x) is Fraction and x.denominator == 1 else x for key, x in row.items()}
     return [rows[p] for p in sorted(rows)]
+
+
+def sparse_kernel(rows, cols: int) -> list[SparseVector]:
+    """Canonical basis of the null space of the matrix with the given sparse
+    rows over columns 0..cols-1: one vector per free column f, 1 at f, 0 at
+    every other free column and -r[f] at the pivot of each reduced row r.
+
+    A reduced row is 0 at every other pivot, so each of its entries off its
+    pivot lands in the vector of a free column: every entry is read once.
+    """
+    reduced = {min(row): row for row in sparse_rref(rows)}
+    basis = {f: {f: 1} for f in range(cols) if f not in reduced}
+    for p, row in reduced.items():
+        for key, x in row.items():
+            if key != p:
+                basis[key][p] = -x
+    return list(basis.values())
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -190,7 +190,7 @@ def test_noncommuting_e_is_a_model_inconsistency(tmp_path, capsys):
 
 def test_duplicated_structure_is_a_model_inconsistency(tmp_path, capsys):
     # torus7 with structure 2's (eta, xi) replaced by structure 1's: e1 = e2
-    # are commuting idempotents, but the split does not add up.
+    # are commuting idempotents, but eta_beta(xi_alpha) is not delta_alpha_beta.
     space, t = flat_torus(1)
     s1, s2, s3 = t.structures
     dup = ThreeStructure([s1, AlmostContactMetricStructure(s2.phi, s1.xi, s1.eta, s2.g), s3])
@@ -200,7 +200,7 @@ def test_duplicated_structure_is_a_model_inconsistency(tmp_path, capsys):
         assert run(capsys, command, "--input", str(path)) == (
             EXIT_VERDICT_FAIL,
             "",
-            "cosym3: model inconsistency: dim of component 100 at degree 1 is 0, expected 1\n",
+            "cosym3: model inconsistency: eta2(xi1) = 1, expected 0\n",
         )
 
 

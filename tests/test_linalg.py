@@ -404,3 +404,41 @@ def test_sparse_results_are_int_where_integral():
             linalg.sparse_rref(rows),
         ]
         assert _int_where_integral(results), results
+
+
+def test_sparse_kernel_matches_oracle_on_seeded_rows():
+    # Sparse rows with int or Fraction entries, zero rows, no rows at all and
+    # all-zero columns: one kernel vector per free column, equal to the
+    # independent dense kernel, with an int for every integral value.
+    rng = random.Random(66)
+    seen = set()
+    for trial in range(400):
+        ints = trial % 2 == 0
+        rows, cols = rng.randint(0, 7), rng.randint(0, 8)
+        zero_col = rng.randrange(cols) if cols and rng.random() < 0.5 else None
+
+        def entry(j):
+            if j == zero_col or rng.random() >= 0.4:
+                return 0
+            x = rng.randint(-3, 3)
+            return x if ints else F(x, rng.choice((1, 2, 3)))
+
+        a = [[entry(j) for j in range(cols)] for _ in range(rows)]
+        if a and rng.random() < 0.3:
+            a.append([0] * cols)
+        basis = linalg.sparse_kernel((_sparse(row) for row in a), cols)
+        assert [_dense(v, cols) for v in basis] == oracles.kernel_basis(a or [[0] * cols])
+        assert all(x for v in basis for x in v.values())
+        assert _int_where_integral(basis)
+        flags = {
+            "ints": ints,
+            "fractions": not ints,
+            "no rows": not a,
+            "zero row": any(not any(row) for row in a),
+            "zero column": bool(a) and any(not any(row[j] for row in a) for j in range(cols)),
+            "fractional result": any(type(x) is Fraction for v in basis for x in v.values()),
+        }
+        seen.update(name for name, on in flags.items() if on)
+    assert seen == {"ints", "fractions", "no rows", "zero row", "zero column", "fractional result"}
+    assert linalg.sparse_kernel([], 0) == []
+    assert linalg.sparse_kernel([{}], 2) == [{0: 1}, {1: 1}]
