@@ -58,32 +58,8 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    cols = len(b[0]) if b else 0
-    out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        orow = out[i]
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for j in range(cols):
-                    y = brow[j]
-                    if y:
-                        orow[j] += x * y
-    return out
 
 
 def _sparse_rows(a: Matrix):
@@ -343,11 +319,11 @@ def signature(a: Matrix) -> tuple[int, int, int]:
 
 def matrix_order(a: Matrix, bound: int) -> int | None:
     """Smallest r <= bound with a^r = I, or None if no such power exists."""
-    n = len(a)
-    ident = identity(n)
-    acc = copy_matrix(a) if n else []
+    mat = {(i, j): x for i, row in enumerate(_sparse_rows(a)) for j, x in row.items()}
+    ident = {(i, i): 1 for i in range(len(a))}
+    acc = mat
     for r in range(1, bound + 1):
         if acc == ident:
             return r
-        acc = mat_mul(acc, a)
-    return 1 if n == 0 else None
+        acc = sparse_product(acc, mat)
+    return 1 if not a else None

@@ -431,8 +431,17 @@ def leading_minors_positive(mat):
 
 
 def dense_mul(a, b):
-    m = len(a)
-    return [[poly_dot((a[i][k], b[k][j]) for k in range(m)) for j in range(m)] for i in range(m)]
+    """ab for dense matrices whose entries are all term dicts or all rationals."""
+    terms = bool(a and a[0]) and isinstance(a[0][0], dict)
+
+    def dot(pairs):
+        return poly_dot(pairs) if terms else sum((x * y for x, y in pairs), Fraction(0))
+
+    return [[dot((row[k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def dense_add(a, b, sign=1):

@@ -129,9 +129,11 @@ def finite_order_matrix(rng: random.Random) -> EndField:
                 big[at + i][at + j] = blk[i][j]
         at += len(blk)
     u = unimodular(rng, d)
-    from cosym3.linalg import inverse, mat_mul
+    from cosym3.linalg import inverse
 
-    conj = mat_mul(mat_mul(inverse(u), big), u)
+    import oracles
+
+    conj = oracles.dense_mul(oracles.dense_mul(inverse(u), big), u)
     return EndField.from_fractions(conj)
 
 

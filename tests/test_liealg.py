@@ -147,7 +147,7 @@ def test_signature_matches_reference_realization(torus7, torus7_table):
     assert res.killing_rank == 10
     p = randgen.unimodular(random.Random(5), 5, shears=20)
     p_inv = linalg.inverse(p)
-    dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+    dense = [oracles.dense_mul(p, oracles.dense_mul(g, p_inv)) for g in gens]
     assert all(sum(1 for row in g for x in row if x) >= 23 for g in dense)
     conj = analyze_operator_span([oracles.sparse_matrix({0: g}) for g in dense])
     assert conj.bracket_coeffs == res.bracket_coeffs
@@ -170,7 +170,7 @@ def test_certificate_matches_dense_oracles(torus7, torus7_table, m7f_model, m7f_
     gens = oracles.so41_generators()
     p = randgen.unimodular(random.Random(5), 5, shears=20)
     p_inv = linalg.inverse(p)
-    dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+    dense = [oracles.dense_mul(p, oracles.dense_mul(g, p_inv)) for g in gens]
     spans = [
         lie_report(space, t, table)
         for (space, t), table in ((torus7, torus7_table), (m7f_model, m7f_table))
@@ -309,7 +309,7 @@ def test_bracket_coeffs_match_structure_constants_on_dense_conjugates():
     for seed in (21, 22, 23):
         p = randgen.unimodular(random.Random(seed), 5, shears=20)
         p_inv = linalg.inverse(p)
-        dense = [linalg.mat_mul(p, linalg.mat_mul(g, p_inv)) for g in gens]
+        dense = [oracles.dense_mul(p, oracles.dense_mul(g, p_inv)) for g in gens]
         res = analyze_operator_span([oracles.sparse_matrix({0: g}) for g in dense])
         consts = oracles.structure_constants(dense)
         expected = {
