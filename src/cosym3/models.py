@@ -13,7 +13,6 @@ J_alpha.  Fiber coordinates come first, the three circle coordinates last.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import linalg
@@ -308,9 +307,6 @@ def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
 
 _MAX_BUILTIN_DIM = 11
 
-_BUILTIN_RE = re.compile(r"^(standard|torus)(\d+)$")
-
-
 def builtin_names() -> list[str]:
     names = []
     for kind in ("standard", "torus"):
@@ -324,13 +320,10 @@ def builtin(name: str, order_bound: int = DEFAULT_ORDER_BOUND) -> tuple[ModelSpa
     """Look up a named model: standard{4n+3}, torus{4n+3}, or m7f."""
     if name == "m7f":
         return m7f(order_bound)
-    match = _BUILTIN_RE.match(name)
-    if match:
-        dim = int(match.group(2))
-        if dim % 4 == 3 and 3 <= dim <= _MAX_BUILTIN_DIM:
-            n = (dim - 3) // 4
-            if match.group(1) == "standard":
-                return euclidean_space(n)
+    for n in range((_MAX_BUILTIN_DIM - 3) // 4 + 1):
+        if name == f"standard{4 * n + 3}":
+            return euclidean_space(n)
+        if name == f"torus{4 * n + 3}":
             return flat_torus(n)
     raise ModelError(
         f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"

@@ -24,7 +24,7 @@ from cosym3.cli import (
     parse_structure_file,
     structure_file_dict,
 )
-from cosym3.models import builtin
+from cosym3.models import builtin, builtin_names
 
 
 def run(capsys, *argv):
@@ -115,6 +115,21 @@ def test_betti_reports(capsys):
     assert report["tables"]["b"] == [1, 3, 7, 13, 13, 7, 3, 1]
     assert report["tables"]["bh"] == [1, 0, 4, 0, 1, 0, 0, 0]
     assert any("b2 = 7 < 21" in note for note in report["notes"])
+
+
+@pytest.mark.parametrize(
+    "name", ["torus07", "torus\u0667", "torus7\n"], ids=["leading-zero", "arabic-indic-seven", "trailing-newline"]
+)
+def test_builtin_names_match_exactly(capsys, name):
+    code, out, err = run(capsys, "check", "--builtin", name)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"unknown builtin {name!r}" in err
+
+
+def test_every_listed_builtin_loads():
+    dims = {"standard3": 3, "standard7": 7, "standard11": 11, "torus3": 3, "torus7": 7, "torus11": 11, "m7f": 7}
+    assert builtin_names() == list(dims)
+    assert {name: builtin(name)[0].chart_dim for name in dims} == dims
 
 
 def test_betti_non_compact(capsys):
