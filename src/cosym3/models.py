@@ -307,6 +307,7 @@ def monodromy_invariance(space: ModelSpace, t: ThreeStructure) -> CheckReport:
 
 _MAX_BUILTIN_DIM = 11
 
+
 def builtin_names() -> list[str]:
     names = []
     for kind in ("standard", "torus"):
