@@ -417,7 +417,7 @@ def test_spans_match_the_projector_split(torus7, torus7_table, m7f_model, m7f_ta
 
 @pytest.mark.slow
 def test_sheared_torus15_split():
-    # The flat torus15 pulled back by 8 seeded shears: every e_alpha is dense
+    # The flat torus15 pulled back by 8 seeded shears: no e_alpha is diagonal
     # in the monomial basis, and b_7 = 6435.
     space, t = cases.sheared_torus(3, 8)
     table = decompose(space, t)
