@@ -12,12 +12,11 @@ increasing order, which is colex order on the index sets, and each operator
 as one sparse matrix per degree of the coordinates read off its pivots.
 
 The eightfold split is built as H^k = sum over eps of eta_eps ^ H_B^(k-|eps|),
-where H_B is the basic harmonic forms, the null space of the stacked
-lambda_alpha, and eta_eps the wedge of the eta_alpha with eps_alpha = 1.
-Three checks make each summand the joint e_alpha eigenspace of pattern eps:
-eta_beta(xi_alpha) = delta_alpha_beta gives e_alpha = eps_alpha on it; every
-eta_alpha ^ keeps the harmonic forms, so it lies in that eigenspace; and the
-dimensions sum to b_k, so no eigenspace is larger than its summand.
+where H_B is the basic harmonic forms and eta_eps the wedge of the eta_alpha
+with eps_alpha = 1.  Its own checks (eta_beta(xi_alpha) = delta_alpha_beta,
+each summand in H^k, the dimensions summing to b_k) make each summand the
+joint e_alpha eigenspace of pattern eps and prove every check of l_alpha,
+lambda_alpha and e_alpha, so ``small_operators`` runs only to name a failure.
 """
 
 from __future__ import annotations
@@ -289,20 +288,22 @@ class HarmonicTable:
 def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     """Split every harmonic space into the eight joint e_alpha eigenspaces.
 
-    After checking that the e_alpha are commuting idempotents, it takes the
-    basic harmonic k-forms H_B^k as the null space of the stacked
-    lambda_alpha blocks, and the component eps at degree k as
-    C = eta_eps ^ H_B^(k - |eps|), with eta_eps the wedge of the eta_alpha
-    with eps_alpha = 1.  C is the joint eigenspace E_eps in H^k because:
-    eta_beta(xi_alpha) = delta_alpha_beta, checked, gives
-    e_alpha(eta_eps ^ w) = eps_alpha eta_eps ^ w for every basic w;
-    every eta_alpha ^ keeps the harmonic forms (``small_operators``), so C
-    lies in E_eps; and the E_eps of distinct patterns are independent, so
-    dimensions that sum to b_k, checked, leave no room beside each C.  Each
-    dimension is also checked against the basic Betti numbers.  Any failure
-    raises :class:`CohomologyError`, and a chart dimension that is not
-    4n + 3 or is above ``MAX_CHART_DIM`` raises :class:`DimensionError`
-    first.
+    H_B^k, the basic harmonic k-forms, is the null space of the stacked
+    xi_alpha-contractions of the H^k basis read at the pivots of H^(k-1),
+    and the component eps at degree k is C = eta_eps ^ H_B^(k - |eps|),
+    eta_eps the wedge of the eta_alpha with eps_alpha = 1.  It checks
+    eta_beta(xi_alpha) = delta_alpha_beta, each kernel form basic, each C
+    inside H^k, the dimensions summing to b_k and each against the basic Betti
+    numbers.  With e_alpha = eta_alpha ^ i_xi_alpha on all constant forms,
+    delta gives e_alpha(eta_eps ^ w) = eps_alpha eta_eps ^ w for basic w, so
+    the C of distinct patterns are independent and, summing to b_k, split H^k.
+    On eta_eps ^ w, lambda_alpha and l_alpha give 0 or +-eta_(eps -+ alpha) ^ w,
+    a form of another C: both keep the harmonic forms and the e_alpha are
+    commuting idempotents, so every ``small_operators`` and e_alpha check holds.
+    Conversely those checks make the pivot reading exact and each C harmonic,
+    so on any failure they run first, and the first failure in that order
+    raises :class:`CohomologyError`.  A chart dimension that is not 4n + 3 or
+    is above ``MAX_CHART_DIM`` raises :class:`DimensionError` first.
     """
     t.require_dimension()
     m = space.chart_dim
@@ -311,10 +312,17 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
             f"chart dimension {m} is above {MAX_CHART_DIM}, the largest whose cohomology is computed"
         )
     bases = _harmonic_bases(space, t)
-    b = tuple(len(basis) for basis in bases)
-    # Raises unless l, lambda and e preserve the harmonic forms.
+    try:
+        return _split(t, bases)
+    except CohomologyError:
+        _check_operators(space, t, bases)
+        raise
+
+
+def _check_operators(space: ModelSpace, t: ThreeStructure, bases: list[linalg.EchelonBasis]) -> None:
+    """Raise the first failure of ``small_operators``, then of the e_alpha idempotence and commutation."""
     ops = small_operators(space, t, bases)
-    for k in range(m + 1):
+    for k in range(len(bases)):
         e = [ops[f"e{alpha}"].sparse_blocks[k] for alpha in (1, 2, 3)]
         for alpha in range(3):
             if linalg.sparse_product(e[alpha], e[alpha]) != e[alpha]:
@@ -322,6 +330,12 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
             for beta in range(alpha + 1, 3):
                 if linalg.sparse_commutator(e[alpha], e[beta]):
                     raise CohomologyError(f"e{alpha + 1} and e{beta + 1} do not commute on degree {k}")
+
+
+def _split(t: ThreeStructure, bases: list[linalg.EchelonBasis]) -> HarmonicTable:
+    """The split of ``decompose`` and its own checks, without the operator checks."""
+    m = len(bases) - 1
+    b = tuple(len(basis) for basis in bases)
     etas, xis = zip(*(_eta_xi(t, alpha) for alpha in (1, 2, 3)))
     for alpha, xi in enumerate(xis, 1):
         for beta, eta in enumerate(etas, 1):
@@ -331,24 +345,34 @@ def decompose(space: ModelSpace, t: ThreeStructure) -> HarmonicTable:
     spans: dict[tuple[int, tuple[int, int, int]], linalg.EchelonBasis] = {}
     for k, basis in enumerate(bases):
         # Constant forms are closed, so the basic ones are the kernel of
-        # omega -> (i_xi_alpha omega)_alpha, whose rows are the lambda_alpha rows.
+        # omega -> (i_xi_alpha omega)_alpha, read at the pivots of H^(k-1);
+        # the check that each kernel form is basic stands in for the rest.
+        pivots = bases[k - 1].index if k else {}
         stacked: dict = {}
-        for alpha in (1, 2, 3):
-            for (r, c), x in ops[f"lambda{alpha}"].sparse_blocks.get(k, {}).items():
-                stacked.setdefault((alpha, r), {})[c] = x
+        for alpha, xi in enumerate(xis):
+            for c, image in enumerate(contract_images(xi, basis.vectors)):
+                for key, x in image.items():
+                    if key in pivots:
+                        stacked.setdefault((alpha, pivots[key]), {})[c] = x
         # Every basis vector is 1 at its own pivot and 0 at the others, so the
         # reduced echelon coordinates give the reduced echelon forms.
         coords = linalg.sparse_rref(linalg.sparse_kernel(stacked.values(), b[k]))
-        spans[(k, BASIC)] = linalg.EchelonBasis([
+        forms = [
             linalg.sparse_sum((key, c * x) for i, c in v.items() for key, x in basis.vectors[i].items())
             for v in coords
-        ])
+        ]
+        for i, image in enumerate(zip(*(contract_images(xi, forms) for xi in xis))):
+            if any(image):
+                raise CohomologyError(f"kernel form {i} at degree {k} is not basic")
+        spans[(k, BASIC)] = linalg.EchelonBasis(forms)
         # eta_eps ^ H_B is eta_alpha ^ (eta_(eps - alpha) ^ H_B), alpha the first 1 of eps.
         for eps in EPS_ORDER[1:]:
             alpha = eps.index(1)
             lower = spans.get((k - 1, eps[:alpha] + (0,) + eps[alpha + 1:]))
             images = wedge_images(etas[alpha], lower.vectors if lower else ())
             spans[(k, eps)] = linalg.EchelonBasis(linalg.sparse_rref(images))
+            if type(basis.columns(spans[(k, eps)].vectors)) is int:
+                raise CohomologyError(f"component {eps_label(eps)} at degree {k} is not harmonic")
     bh = tuple(len(spans[(k, BASIC)]) for k in range(m + 1))
     for k in range(m + 1):
         total = sum(len(spans[(k, eps)]) for eps in EPS_ORDER)

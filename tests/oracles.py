@@ -15,7 +15,9 @@ The exception is the last section: ``invariant_forms_per_monomial`` and
 the per-monomial orbit sums and the wedge-then-eliminate assembly, entry for
 entry.  ``projector_components`` takes the harmonic bases and the e_alpha
 blocks as given and splits them by products of projectors in plain dict
-arithmetic, with its own elimination.
+arithmetic, with its own elimination.  ``first_inconsistency`` replays, on
+``small_operators`` and that split, every identity ``decompose`` once checked
+in turn, and names the first that fails.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from cosym3 import linalg
-from cosym3.exterior import monomial_images, monomial_key, monomial_keys, sparse_wedge
+from cosym3.cohomology import BASIC, EPS_ORDER, CohomologyError, eps_label, harmonic_space, small_operators
+from cosym3.exterior import form_vector, monomial_images, monomial_key, monomial_keys, sparse_wedge
 
 # Quaternions as coefficient 4-tuples over the basis (1, i, j, k), with the
 # products expanded from i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
@@ -658,3 +661,49 @@ def projector_components(bases, e):
                 forms.append({key: x for key, x in form.items() if x})
             out[k, eps] = forms
     return out
+
+
+def first_inconsistency(space, t):
+    """The first failed identity of a constant compact model, in the order
+    ``decompose`` once checked them all, or None when every one holds.
+
+    In order: ``cohomology.small_operators`` (l_alpha and lambda_alpha keep the
+    harmonic forms); at each degree, every e_alpha idempotent and every pair
+    commuting; eta_beta(xi_alpha) = delta_alpha_beta; and on the components of
+    ``projector_components``, the dimensions summing to b_k and each matching
+    the basic Betti number that its weight shifts to.  The messages are the
+    ones ``decompose`` raises.
+    """
+    m = t.m
+    try:
+        ops = small_operators(space, t)
+    except CohomologyError as exc:
+        return str(exc)
+    e = [ops[f"e{alpha}"].sparse_blocks for alpha in (1, 2, 3)]
+    for k in range(m + 1):
+        for a in range(3):
+            if _dict_product(e[a][k], e[a][k]) != e[a][k]:
+                return f"e{a + 1} is not idempotent on degree {k}"
+            for b in range(a + 1, 3):
+                if _dict_product(e[a][k], e[b][k]) != _dict_product(e[b][k], e[a][k]):
+                    return f"e{a + 1} and e{b + 1} do not commute on degree {k}"
+    for alpha in (1, 2, 3):
+        xi = t.structure(alpha).xi.components
+        for beta in (1, 2, 3):
+            eta = form_vector(t.structure(beta).eta)
+            value = sum(eta.get(1 << i, 0) * p.constant_value() for i, p in enumerate(xi))
+            if value != (alpha == beta):
+                return f"eta{beta}(xi{alpha}) = {value}, expected {int(alpha == beta)}"
+    bases = [harmonic_space(space, t, k) for k in range(m + 1)]
+    parts = projector_components(bases, e)
+    bh = [len(parts[k, BASIC]) for k in range(m + 1)]
+    for k in range(m + 1):
+        total = sum(len(parts[k, eps]) for eps in EPS_ORDER)
+        if total != len(bases[k]):
+            return f"eigenspace dimensions at degree {k} sum to {total}, expected {len(bases[k])}"
+        for eps in EPS_ORDER:
+            j = k - sum(eps)
+            expected = bh[j] if 0 <= j <= m else 0
+            if len(parts[k, eps]) != expected:
+                return f"dim of component {eps_label(eps)} at degree {k} is {len(parts[k, eps])}, expected {expected}"
+    return None

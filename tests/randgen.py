@@ -189,3 +189,34 @@ def mutate_structure(rng: random.Random, t):
         new if idx == alpha - 1 else t.structures[idx] for idx in range(3)
     ]
     return ThreeStructure(structures), desc
+
+
+def mutate_eta_xi(rng: random.Random, t):
+    """Return (mutant, description): one eta_alpha or xi_alpha with a
+    coordinate covector or vector added, or scaled, or one structure's
+    (eta, xi) copied into another's."""
+    from cosym3 import AlmostContactMetricStructure, ThreeStructure
+
+    m = t.m
+    alpha = rng.randint(1, 3)
+    s = t.structure(alpha)
+    xi, eta = s.xi, s.eta
+    kind = rng.choice(["add", "scale", "copy"])
+    part = rng.choice(["eta", "xi"])
+    if kind == "add":
+        i, c = rng.randrange(m), rng.choice(NONZERO)
+        if part == "xi":
+            xi = xi + VectorField.coordinate(m, i).scaled(c)
+        else:
+            eta = eta + KForm.coordinate(m, i).scaled(c)
+        desc = f"{part}{alpha} += {c} e_{i}"
+    elif kind == "scale":
+        c = rng.choice([Fraction(0), *NONZERO[1:]])
+        xi, eta = (xi.scaled(c), eta) if part == "xi" else (xi, eta.scaled(c))
+        desc = f"{part}{alpha} *= {c}"
+    else:
+        beta = rng.choice([b for b in (1, 2, 3) if b != alpha])
+        xi, eta = t.structure(beta).xi, t.structure(beta).eta
+        desc = f"(eta{alpha}, xi{alpha}) := (eta{beta}, xi{beta})"
+    new = AlmostContactMetricStructure(s.phi, xi, eta, s.g)
+    return ThreeStructure([new if idx == alpha else t.structure(idx) for idx in (1, 2, 3)]), desc

@@ -506,3 +506,71 @@ def test_lambda_leaving_the_harmonic_forms_names_its_degree(m7f_model):
         small_operators(space, broken)
     with pytest.raises(CohomologyError, match=message):
         decompose(space, broken)
+
+
+def _replace_eta_xi(t, alpha, xi=None, eta=None):
+    from cosym3 import AlmostContactMetricStructure, ThreeStructure
+
+    s = t.structure(alpha)
+    new = AlmostContactMetricStructure(s.phi, s.xi if xi is None else xi, s.eta if eta is None else eta, s.g)
+    return ThreeStructure([new if idx == alpha else t.structure(idx) for idx in (1, 2, 3)])
+
+
+def test_decompose_builds_no_small_operators_on_consistent_models(torus7, m7f_model, monkeypatch):
+    # The split's own checks prove every l_alpha, lambda_alpha and e_alpha
+    # check, so the operators are built only to name a failure.
+    from cosym3 import VectorField, cohomology
+
+    calls = []
+    original = cohomology.small_operators
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "small_operators", counting)
+    for space, t in (torus7, m7f_model, cases.sheared11(), cases.swap11()):
+        decompose(space, t)
+    assert calls == []
+    # The pinned noncommuting-e input: xi_1 + d/dt2 on torus7.
+    space, t = torus7
+    broken = _replace_eta_xi(t, 1, xi=t.structure(1).xi + VectorField.coordinate(7, 5))
+    with pytest.raises(CohomologyError, match="^e1 and e2 do not commute on degree 1$"):
+        decompose(space, broken)
+    assert len(calls) == 1
+
+
+def test_decompose_fails_exactly_where_the_oracle_does(torus7, m7f_model):
+    # Seeded eta/xi mutants of flat and mapping-torus models of dimensions 7
+    # and 11: decompose passes exactly when every identity it once checked in
+    # turn holds, and otherwise raises the first one that fails.
+    rng = random.Random(2028)
+    passed = set()
+    for name, (space, t) in {"torus7": torus7, "m7f": m7f_model, "swap11": cases.swap11()}.items():
+        for _ in range(20):
+            mutant, desc = randgen.mutate_eta_xi(rng, t)
+            expected = oracles.first_inconsistency(space, mutant)
+            if expected is None:
+                decompose(space, mutant)
+                passed.add(name)
+            else:
+                with pytest.raises(CohomologyError) as info:
+                    decompose(space, mutant)
+                assert str(info.value) == expected, (name, desc)
+    assert passed == {"torus7"}
+
+
+def test_split_guards_name_the_unproven_step(m7f_model):
+    # Called alone, the split names the first of its own checks that fails;
+    # through decompose, small_operators names an earlier failure first.
+    from cosym3 import VectorField
+    from cosym3.cohomology import _harmonic_bases, _split
+
+    space, t = m7f_model
+    bases = _harmonic_bases(space, t)
+    moved_xi = _replace_eta_xi(t, 1, xi=t.structure(1).xi + VectorField.coordinate(7, 0))
+    with pytest.raises(CohomologyError, match="^kernel form 0 at degree 2 is not basic$"):
+        _split(moved_xi, bases)
+    moved_eta = _replace_eta_xi(t, 1, eta=t.structure(1).eta + KForm.coordinate(7, 0))
+    with pytest.raises(CohomologyError, match="^component 100 at degree 1 is not harmonic$"):
+        _split(moved_eta, bases)
