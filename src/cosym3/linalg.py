@@ -141,14 +141,6 @@ def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return sparse_commutators((a, b))[0, 1]
 
 
-def sparse_columns(a: SparseMatrix) -> dict:
-    """The nonzero columns of a sparse matrix, each a sparse vector keyed by row."""
-    out: dict = {}
-    for (r, c), x in a.items():
-        out.setdefault(c, {})[r] = x
-    return out
-
-
 def sparse_rref(vectors) -> list[SparseVector]:
     """Canonical (reduced echelon) basis of the span of sparse vectors.
 
@@ -318,12 +310,15 @@ def signature(a: Matrix) -> tuple[int, int, int]:
 
 
 def matrix_order(a: Matrix, bound: int) -> int | None:
-    """Smallest r <= bound with a^r = I, or None if no such power exists."""
+    """Smallest r <= bound with a^r = I, or None if there is none; a power with
+    |trace| > n ends the search (finite order makes every eigenvalue a root of unity)."""
     mat = {(i, j): x for i, row in enumerate(_sparse_rows(a)) for j, x in row.items()}
     ident = {(i, i): 1 for i in range(len(a))}
     acc = mat
     for r in range(1, bound + 1):
         if acc == ident:
             return r
+        if abs(sum(acc.get(key, 0) for key in ident)) > len(a):
+            return None
         acc = sparse_product(acc, mat)
     return 1 if not a else None

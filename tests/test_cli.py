@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import sys
 import threading
 import time
@@ -709,6 +710,29 @@ def test_chart_dimension_above_the_limit_is_refused_at_once(tmp_path, capsys, co
     assert time.perf_counter() - start < 1
     err = "cosym3: error: chart dimension 23 is above 19, the largest whose cohomology is computed\n"
     assert result == (EXIT_USAGE, "", err)
+
+
+def test_oversized_monodromy_is_refused_at_once(tmp_path, capsys):
+    # Dense monodromies with 4000-digit entries on m7f and on the torus of
+    # dimension 19: the trace of the first power is past the fiber dimension,
+    # so the order search stops there instead of multiplying up to 60 powers
+    # of ever longer entries.
+    from cosym3 import linalg
+
+    rng = random.Random(4000)
+    err = "cosym3: error: monodromy not finite order within bound 60\n"
+    for space, t in (m7f(), flat_torus(4)):
+        d = space.chart_dim - 3
+        mono = [[rng.choice((1, -1)) * rng.randrange(10**3999, 10**4000) for _ in range(d)] for _ in range(d)]
+        assert linalg.matrix_order(mono, 60) is None
+        data = structure_file_dict(space, t)
+        data["topology"] = {"type": "mapping_torus", "fiber_dim": d, "monodromy": mono}
+        path = tmp_path / f"oversized{space.chart_dim}.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        result = run(capsys, "check", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert result == (EXIT_USAGE, "", err)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")

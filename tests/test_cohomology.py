@@ -560,6 +560,33 @@ def test_decompose_fails_exactly_where_the_oracle_does(torus7, m7f_model):
     assert passed == {"torus7"}
 
 
+def test_component_dimensions_and_ladder_hold_on_every_split(torus7, m7f_model):
+    # decompose does not check dim C_eps^k = bh_(k-|eps|) or the ladder's
+    # bijections: its own checks prove both.  Every table it returns bears that
+    # out, on flat, sheared, deformed and mapping-torus models of dimensions 7
+    # and 11 and on the seeded eta/xi mutants of them that it accepts.
+    from cosym3 import d_homothetic_deform
+
+    m7f_space, m7f_t = m7f_model
+    models = [torus7, m7f_model, cases.gl7_torus7(), cases.sheared11(), cases.swap11(),
+              (m7f_space, d_homothetic_deform(m7f_t, "2/3"))]
+    rng = random.Random(2030)
+    models += [(space, randgen.mutate_eta_xi(rng, t)[0]) for space, t in models[:5] for _ in range(6)]
+    accepted = 0
+    for space, t in models:
+        try:
+            table = decompose(space, t)
+        except CohomologyError:
+            continue
+        accepted += 1
+        for k in range(table.m + 1):
+            for eps in EPS_ORDER:
+                expected = table.bh[k - sum(eps)] if k >= sum(eps) else 0
+                assert len(table.span(k, eps)) == expected, (k, eps)
+        assert verify_ladder(space, t, table).passed
+    assert accepted == 6 + 4  # every model and four of the mutants
+
+
 def test_split_guards_name_the_unproven_step(m7f_model):
     # Called alone, the split names the first of its own checks that fails;
     # through decompose, small_operators names an earlier failure first.

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cosym3 import linalg
 
 import oracles
+import randgen
 
 
 def F(x, y=1):
@@ -87,6 +88,20 @@ def test_matrix_order():
     shear = [[F(1), F(1)], [F(0), F(1)]]
     assert linalg.matrix_order(shear, 30) is None
     assert linalg.matrix_order([], 5) == 1
+
+
+def test_trace_guard_never_rejects_a_finite_order_matrix():
+    # Every power of a finite-order matrix has |trace| <= n, so the guard that
+    # ends the order search must let each one through to its order: seeded
+    # conjugates of signed permutations and rotations, and the orders 3 and 6
+    # of the rotations by 120 and 60 degrees, whose traces are negative or 1.
+    rng = random.Random(60)
+    mats = [randgen.finite_order_matrix(rng).to_fractions() for _ in range(200)]
+    mats += [[[F(0), F(-1)], [F(1), F(-1)]], [[F(1), F(-1)], [F(1), F(0)]]]
+    for a in mats:
+        order = oracles.matrix_power_order(a)
+        assert order is not None
+        assert linalg.matrix_order(a, 60) == order
 
 
 @st.composite

@@ -183,6 +183,22 @@ def test_ladder_witnesses(torus7, torus7_table):
     ]
 
 
+def test_ladder_witnesses_of_a_rank_deficient_image(torus7, torus7_table):
+    space, t = torus7
+    table = torus7_table
+    spans = dict(table.spans)
+    # dx2, dx3, dx4 and dt1 at (1, 000): l1 = dt1 ^ maps them onto a rank-3
+    # subspace of (2, 100), and l2 and l3 take dt1 out of their targets.
+    spans[(1, BASIC)] = linalg.EchelonBasis([{monomial_key((i,)): 1} for i in (1, 2, 3, 4)])
+    report = verify_ladder(space, t, HarmonicTable(table.m, spans, table.b, table.bh))
+    assert len(report) == 60
+    assert [item.to_dict() for item in report.failures()] == [
+        fail("ladder[k=1].l1.000->100", "restriction is not injective"),
+        fail("ladder[k=1].l2.000->010", "image leaves the target component"),
+        fail("ladder[k=1].l3.000->001", "image leaves the target component"),
+    ]
+
+
 def test_quaternion_module_witnesses(torus7, torus7_table):
     space, t = torus7
     table = torus7_table
