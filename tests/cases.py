@@ -195,6 +195,15 @@ def sheared11():
     return sheared_torus(2, 12)
 
 
+def sheared15():
+    """torus15 pulled back by a seeded matrix in GL(15, Z) made of 8 shears.
+
+    The stress case of the Lambda_alpha images: its harmonic forms run to
+    degree 15 over a metric that is not diagonal.
+    """
+    return sheared_torus(3, 8)
+
+
 def swap11():
     """The dim-11 mapping torus of a seeded block swap [[0, R_u], [R_v, 0]].
 
@@ -230,6 +239,7 @@ MODEL_FILES = {
     "gl7_torus7.json": lambda: structure_file_dict(*gl7_torus7()),
     "swap11.json": lambda: structure_file_dict(*swap11()),
     "sheared11.json": lambda: structure_file_dict(*sheared11()),
+    "sheared15.json": lambda: structure_file_dict(*sheared15()),
     "nonclosed_eta7.json": lambda: structure_file_dict(euclidean_space(1)[0], nonclosed_eta7()),
     "asymmetric11.json": asymmetric_metric11,
 }
@@ -265,6 +275,8 @@ SLOW_CLI_CASES = {
     "liealg torus11": ["liealg", "--builtin", "torus11"],
     "betti sheared11": ["betti", "--input", "sheared11.json"],
     "liealg sheared11": ["liealg", "--input", "sheared11.json"],
+    "betti sheared15": ["betti", "--input", "sheared15.json"],
+    "liealg sheared15": ["liealg", "--input", "sheared15.json"],
 }
 
 
