@@ -687,7 +687,14 @@ def _sqrt_fraction(value: linalg.Entry) -> linalg.Entry | None:
 
 
 class MetricError(ValueError):
-    """The metric admits no exact Hodge star."""
+    """The metric is not positive definite, or admits no exact Hodge star."""
+
+
+def _metric_inverse(g: Metric) -> linalg.Matrix:
+    """G^-1 of a constant metric, checked positive definite first."""
+    if not g.is_positive_definite():
+        raise MetricError("metric is degenerate or not positive definite")
+    return linalg.inverse(g.to_fractions())
 
 
 class HodgeOperator:
@@ -700,17 +707,11 @@ class HodgeOperator:
 
     def __init__(self, g: Metric):
         self.m = g.m
-        if not g.is_positive_definite():
-            raise MetricError("metric is degenerate or not positive definite")
-        mat = g.to_fractions()
-        sqrt_det = _sqrt_fraction(linalg.det(mat))
-        if sqrt_det is None:
-            raise MetricError(
-                "det(g) is not a rational square; exact Hodge star unavailable"
-            )
-        self.inverse = linalg.inverse(mat)
+        self.inverse = _metric_inverse(g)
+        self.sqrt_det = _sqrt_fraction(linalg.det(g.to_fractions()))
+        if self.sqrt_det is None:
+            raise MetricError("det(g) is not a rational square; exact Hodge star unavailable")
         self._raise = _Pullback(self.inverse)
-        self.sqrt_det = sqrt_det
 
     def volume(self) -> KForm:
         return KForm.monomial(self.m, tuple(range(self.m)), self.sqrt_det)
@@ -747,9 +748,7 @@ def form_inner_product(g: Metric, alpha: KForm, beta: KForm) -> linalg.Entry:
     """Pointwise inner product of constant forms of equal degree."""
     if alpha.degree != beta.degree or alpha.m != beta.m:
         raise ValueError("forms of different type")
-    if not g.is_positive_definite():
-        raise MetricError("metric is degenerate or not positive definite")
-    raised = _pulled_back(linalg.inverse(g.to_fractions()), form_vector(alpha))
+    raised = _pulled_back(_metric_inverse(g), form_vector(alpha))
     b = form_vector(beta)
     return sum(x * b[key] for key, x in raised.items() if key in b)
 

@@ -1,8 +1,9 @@
 """The degree-shifting operator algebra on basic harmonic forms.
 
 Ten operators act on the direct sum of the (0,0,0) components: the grading
-operator H, three wedge operators L_alpha, their Hodge adjoints
-Lambda_alpha = * L_alpha *, and the cross commutators K_alpha.  Their span
+operator H, three wedge operators L_alpha, their g-adjoints Lambda_alpha
+(contractions by Xi_alpha raised with G^-1, equal to * L_alpha * as the
+dimension is odd), and the cross commutators K_alpha.  Their span
 closes under the bracket, and the Killing form computed from the exact
 structure constants has rank 10 and signature (4, 6), which certifies the
 isomorphism class so(4,1) among real simple Lie algebras of dimension 10.
@@ -13,7 +14,7 @@ ad [x_i, x_j] for i < j, and invariance as the antisymmetry of every K ad x_i.
 Convention note: the 2-form driving L_alpha is the horizontal part of the
 fundamental 2-form, Xi_alpha = Phi_alpha + eta_beta ^ eta_gamma in the
 determinant wedge convention used by this package.  Any uniform sign flip of
-[L_alpha, Lambda_alpha] against -H would indicate an orientation convention
+[L_alpha, Lambda_alpha] against -H would indicate a sign convention
 change and is recorded verbatim in the report, never silently adjusted.
 """
 
@@ -24,7 +25,8 @@ from itertools import chain, combinations_with_replacement
 
 from . import linalg
 from .cohomology import BASIC, CohomologyError, HarmonicTable, decompose
-from .exterior import HodgeOperator, KForm, form_vector, wedge, wedge_images
+from .exterior import KForm, _metric_inverse, _pulled_back, contract_images, form_vector, wedge, wedge_images
+from .exterior import HodgeOperator  # noqa: F401 -- unused; bench/tracing.py subclasses it (ROADMAP item 6)
 from .models import ModelSpace
 from .structures import ThreeStructure, fundamental_form
 
@@ -56,29 +58,38 @@ def big_operators(
     """Matrices of H, L_alpha, Lambda_alpha, K_alpha on the basic harmonic forms.
 
     All ten are keyed (row, col) over one basis: the (0,0,0) components of
-    every degree, one after another in increasing degree.  Raises
+    every degree, one after another in increasing degree.  Lambda_alpha needs
+    only G^-1, not the Hodge star, so det(g) need not be a rational square.
+    Raises :class:`DegenerateAlgebraError` if the fiber dimension is zero
+    (every operator is then identically zero and the algebra degenerates),
+    then :class:`MetricError` if g is not positive definite, and
     :class:`CohomologyError` if L_alpha or Lambda_alpha fails to preserve the
-    basic forms (alpha in turn, then the lowest source degree, L first), and
-    :class:`DegenerateAlgebraError` if the fiber dimension is zero (every
-    operator is then identically zero and the algebra degenerates).
+    basic forms (alpha in turn, then the lowest source degree, L first).
     """
     if table is None:
         table = decompose(space, t)
-    n = (table.m - 3) // 4
+    m, n = table.m, (table.m - 3) // 4
     if n == 0:
         raise DegenerateAlgebraError(
             "fiber dimension 0: H, L, Lambda, K all vanish on basic forms"
         )
-    vectors = [v for k in range(table.m + 1) for v in table.span(k, BASIC).vectors]
+    g_inv = _metric_inverse(t.g)
+    vectors = [v for k in range(m + 1) for v in table.span(k, BASIC).vectors]
     basis = linalg.EchelonBasis(vectors)
     degrees = [min(v).bit_count() for v in vectors]
-    star = HodgeOperator(t.g)
-    starred = [star(v) for v in vectors]
+    # i(d_i) v for each index i and basic form v, shared by the three Lambda_alpha.
+    inner = [list(contract_images({i: 1}, vectors)) for i in range(m)]
     ops = {"H": {(i, i): 2 * n - k for i, k in enumerate(degrees) if k != 2 * n}}
     for alpha in (1, 2, 3):
         xi2 = form_vector(xi_form(t, alpha))
         l_op = ops[f"L{alpha}"] = basis.columns(wedge_images(xi2, vectors))
-        lam_op = ops[f"Lam{alpha}"] = basis.columns(map(star, wedge_images(xi2, starred)))
+        # Lambda_alpha v = sum_i i(X_i) i(d_i) v, X_i = sum_{j>i} W^ij d_j, W = G^-1 Xi_alpha G^-1:
+        # W^ij for i < j is the entry of Xi_alpha raised by G^-1 at key 2^i + 2^j.
+        w = _pulled_back(g_inv, xi2)
+        rows = [{j: w[key] for j in range(i + 1, m) if (key := 1 << i | 1 << j) in w} for i in range(m)]
+        parts = zip(*(contract_images(x, inner[i]) for i, x in enumerate(rows) if x))
+        lam = (linalg.sparse_sum(chain.from_iterable(p.items() for p in ps)) for ps in parts)
+        lam_op = ops[f"Lam{alpha}"] = basis.columns(lam)
         # The lowest source degree off the span is reported, L before Lambda.
         failed = [(degrees[j], name) for name, j in ((f"L{alpha}", l_op), (f"Lambda{alpha}", lam_op)) if type(j) is int]
         if failed:
